@@ -30,12 +30,16 @@ from .generators import (
     shuffle_surrogate,
 )
 from .pipeline import (
+    DEFAULTS,
+    FORMATS,
+    METHODS,
+    MODES,
     AnalysisConfig,
+    _write_rows,
     analyze_series,
     emit_results,
     ingest_series,
     run_pipeline,
-    series_digest,
     write_series_csv,
     write_surface_csv,
 )
@@ -47,7 +51,6 @@ from .spectrum import (
     analytic_tau_1d,
     analytic_tau_2d,
     build_q_grid,
-    spectrum_width,
 )
 
 EXIT_OK = 0
@@ -94,8 +97,8 @@ def _add_analysis_options(parser: argparse.ArgumentParser, with_io=True):
     grid = parser.add_argument_group("analysis options")
     if with_io:
         grid.add_argument("--input", help="input data file")
-        grid.add_argument("--mode", choices=("series", "surface"))
-        grid.add_argument("--method", choices=("mfdma", "mfdfa"))
+        grid.add_argument("--mode", choices=MODES)
+        grid.add_argument("--method", choices=METHODS)
     grid.add_argument("--theta", type=float, help="window position parameter in [0, 1]")
     grid.add_argument("--q-min", type=float, dest="q_min")
     grid.add_argument("--q-max", type=float, dest="q_max")
@@ -113,29 +116,12 @@ def _add_analysis_options(parser: argparse.ArgumentParser, with_io=True):
     )
     grid.add_argument("--seed", type=int)
     grid.add_argument("--out-dir", dest="out_dir")
-    grid.add_argument("--format", dest="out_format", choices=("json", "csv-set", "plot-data"))
+    grid.add_argument("--format", dest="out_format", choices=FORMATS)
     grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
 def _config_from_args(args, **overrides) -> AnalysisConfig:
-    keys = (
-        "mode",
-        "method",
-        "theta",
-        "q_min",
-        "q_max",
-        "q_step",
-        "n_min",
-        "n_max",
-        "n_count",
-        "fit_lo",
-        "fit_hi",
-        "legendre_half_window",
-        "seed",
-        "out_dir",
-        "out_format",
-    )
-    options = {k: getattr(args, k, None) for k in keys}
+    options = {k: getattr(args, k, None) for k in DEFAULTS}
     options["input_path"] = getattr(args, "input", None)
     options.update(overrides)
     return AnalysisConfig.from_sources(options, config_file=getattr(args, "config", None))
@@ -180,8 +166,8 @@ def cmd_surrogate(args) -> int:
     shuffled = shuffle_surrogate(raw, cfg.seed)
     raw_bundle = analyze_series(cfg, raw)
     shuffled_bundle = analyze_series(cfg, shuffled)
-    width_raw = spectrum_width(raw_bundle.spectrum)
-    width_shuffled = spectrum_width(shuffled_bundle.spectrum)
+    width_raw = raw_bundle.spectrum.width
+    width_shuffled = shuffled_bundle.spectrum.width
     preserved = bool(
         np.array_equal(np.sort(raw.values), np.sort(shuffled.values))
     )
@@ -258,23 +244,10 @@ def cmd_compare(args) -> int:
             emit_results(bundle, out_dir / label.replace(".", "_"), cfg.out_format,
                          tau_reference=tau_ref if cfg.out_format == "plot-data" else None)
         path = out_dir / "delta_tau.csv"
-        with open(path, "w") as handle:
-            labels = [label for label, *_ in COMPARE_METHODS]
-            handle.write(
-                "q,tau_analytic,"
-                + ",".join(f"tau_{l}" for l in labels)
-                + ","
-                + ",".join(f"dtau_{l}" for l in labels)
-                + "\n"
-            )
-            for i, q in enumerate(qs):
-                taus = [bundles[l].estimate.tau[i] for l in labels]
-                cells = (
-                    [repr(float(q)), repr(float(tau_ref[i]))]
-                    + [repr(float(t)) for t in taus]
-                    + [repr(float(t - tau_ref[i])) for t in taus]
-                )
-                handle.write(",".join(cells) + "\n")
+        taus = [b.estimate.tau for b in bundles.values()]
+        header = ["q", "tau_analytic"]
+        header += [f"tau_{l}" for l in bundles] + [f"dtau_{l}" for l in bundles]
+        _write_rows(path, header, [qs, tau_ref] + taus + [tau - tau_ref for tau in taus])
         summary_path = out_dir / "compare_summary.json"
         summary_path.write_text(
             json.dumps({"sum_abs_dtau": sums, "ranking": ranking}, indent=2, sort_keys=True)
@@ -288,10 +261,9 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     if (args.p1 is None) == (args.weights is None):
         raise ValidationError("oracle needs exactly one of --p1 or --weights")
-    q_min = args.q_min if args.q_min is not None else -4.0
-    q_max = args.q_max if args.q_max is not None else 4.0
-    q_step = args.q_step if args.q_step is not None else 0.1
-    qs = build_q_grid(q_min, q_max, q_step).values
+    grid = {k: DEFAULTS[k] if getattr(args, k) is None else getattr(args, k)
+            for k in ("q_min", "q_max", "q_step")}
+    qs = build_q_grid(**grid).values
     if args.p1 is not None:
         tau = np.asarray(analytic_tau_1d(args.p1, qs))
         alpha = np.asarray(analytic_alpha_1d(args.p1, qs))

@@ -162,22 +162,35 @@ def segment_rms(residuals: np.ndarray, n: int) -> SegmentFluctuations:
     return SegmentFluctuations(np.sqrt(np.mean(blocks**2, axis=1)), scale=n)
 
 
-def _power_mean(values: np.ndarray, q: float, scale) -> float:
-    """q-order power mean of positive values; geometric mean at q = 0."""
-    if q <= 0 and np.any(values == 0.0):
+def _power_mean(values: np.ndarray, qs, scale) -> np.ndarray:
+    """q-order power means of positive values over a q grid; geometric at q = 0.
+
+    Zero values make every moment q <= 0 undefined; the error names the
+    scale and the smallest such q.  The logarithms are taken once, and each
+    q is a log-sum-exp over them, one q at a time so that no
+    (q x segments) array is ever held.
+    """
+    qs = np.asarray(qs, dtype=float)
+    q_low = float(qs.min())
+    if q_low <= 0 and np.any(values == 0.0):
         raise DegenerateSegmentError(
-            f"segment with zero RMS at scale n={scale} makes q={q:g} moments undefined",
+            f"segment with zero RMS at scale n={scale} makes q={q_low:g} moments undefined",
             scale=scale,
-            q=q,
+            q=q_low,
         )
-    if q == 0:
-        return float(np.exp(np.mean(np.log(values))))
+    if not np.any(values):  # all zero, so every q is positive here
+        return np.zeros(qs.size)
     with np.errstate(divide="ignore"):  # zeros allowed for q > 0
-        logs = q * np.log(values)
-    peak = logs.max()
-    if peak == -np.inf:
-        return 0.0
-    return float(np.exp((peak + np.log(np.mean(np.exp(logs - peak)))) / q))
+        log_values = np.log(values)
+    out = np.empty(qs.size)
+    for j, q in enumerate(qs.tolist()):
+        if q == 0:
+            out[j] = np.exp(np.mean(log_values))
+        else:
+            logs = q * log_values
+            peak = logs.max()
+            out[j] = np.exp((peak + np.log(np.mean(np.exp(logs - peak)))) / q)
+    return out
 
 
 def overall_fluctuation(segments: SegmentFluctuations, q: float) -> float:
@@ -187,7 +200,7 @@ def overall_fluctuation(segments: SegmentFluctuations, q: float) -> float:
     mean.  Zero-valued segments make moments with q <= 0 undefined, which
     raises DegenerateSegmentError naming the offending scale.
     """
-    return _power_mean(segments.values, float(q), segments.scale)
+    return float(_power_mean(segments.values, [q], segments.scale)[0])
 
 
 def _validate_scales(scales, n_points: int):
@@ -198,6 +211,19 @@ def _validate_scales(scales, n_points: int):
             f"largest scale {grid.values[-1]} exceeds N/4 = {cap} for N = {n_points}"
         )
     return grid
+
+
+def _fluctuation_table(grid, qs, segment_rms_at) -> FluctuationTable:
+    """F_q(n) at every scale of ``grid``: the scale loop all estimators share.
+
+    ``segment_rms_at(n)`` returns the per-segment RMS values F_v(n) of one
+    estimator at scale n; each row of the table is their power means.
+    """
+    qgrid = as_q_grid(qs)
+    table = np.empty((len(grid), len(qgrid)))
+    for i, n in enumerate(grid.values.tolist()):
+        table[i] = _power_mean(segment_rms_at(n), qgrid.values, n)
+    return FluctuationTable(grid, qgrid, table)
 
 
 def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> FluctuationTable:
@@ -219,15 +245,10 @@ def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> Fluctuation
     """
     values = _as_series_values(series)
     grid = _validate_scales(scales, values.size)
-    qgrid = as_q_grid(qs)
     y = _compensated_cumsum(values)
-    table = np.empty((len(grid), len(qgrid)))
-    for i, n in enumerate(grid.values):
-        cfg = DetrendConfig(int(n), theta)
-        segs = segment_rms(residual_series(y, cfg), int(n))
-        for j, q in enumerate(qgrid.values):
-            table[i, j] = _power_mean(segs.values, float(q), int(n))
-    return FluctuationTable(grid, qgrid, table)
+    return _fluctuation_table(
+        grid, qs, lambda n: segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values
+    )
 
 
 def _polynomial_residuals(segments: np.ndarray, order: int) -> np.ndarray:
@@ -263,15 +284,11 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
         raise ValidationError(
             f"smallest scale {grid.values[0]} must be at least order + 2 = {order + 2}"
         )
-    qgrid = as_q_grid(qs)
     y = _compensated_cumsum(values)
-    table = np.empty((len(grid), len(qgrid)))
-    for i, n in enumerate(grid.values):
-        n = int(n)
+
+    def rms_at(n):
         count = y.size // n
-        segments = y[: count * n].reshape(count, n)
-        resid = _polynomial_residuals(segments, order)
-        fv = np.sqrt(np.mean(resid**2, axis=1))
-        for j, q in enumerate(qgrid.values):
-            table[i, j] = _power_mean(fv, float(q), n)
-    return FluctuationTable(grid, qgrid, table)
+        resid = _polynomial_residuals(y[: count * n].reshape(count, n), order)
+        return np.sqrt(np.mean(resid**2, axis=1))
+
+    return _fluctuation_table(grid, qs, rms_at)

@@ -17,8 +17,9 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .generators import Surface
-from .spectrum import FluctuationTable, as_q_grid, as_scale_grid
-from .dma1d import SegmentFluctuations, _power_mean
+from .spectrum import FluctuationTable, as_scale_grid
+from .dma1d import SegmentFluctuations, _fluctuation_table
+from .dma1d import _power_mean  # noqa: F401  (perfbench/tracing.py hooks this name)
 
 __all__ = [
     "DetrendConfig2D",
@@ -26,7 +27,6 @@ __all__ = [
     "window_aggregates",
     "residual_matrix_2d",
     "segment_rms_2d",
-    "anisotropic_scale",
     "mfdma_fluctuations_2d",
     "mfdfa_fluctuations_2d",
 ]
@@ -153,32 +153,22 @@ def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> 
     )
 
 
-def segment_rms_2d(residuals: np.ndarray, n: int, n2: int | None = None) -> SegmentFluctuations:
+def segment_rms_2d(residuals: np.ndarray, n: int) -> SegmentFluctuations:
     """RMS over disjoint n x n blocks of the residual matrix, row-major.
 
-    Blocks that do not fit along either axis are discarded.  An optional
-    second block side supports anisotropic windows.
+    Blocks that do not fit along either axis are discarded.
     """
     eps = np.asarray(residuals, dtype=float)
-    rows_n = int(n)
-    cols_n = int(n if n2 is None else n2)
+    n = int(n)
     if eps.ndim != 2:
         raise ValidationError(f"residuals must be a matrix, got shape {eps.shape}")
-    if rows_n < 1 or cols_n < 1 or rows_n > eps.shape[0] or cols_n > eps.shape[1]:
-        raise ValidationError(
-            f"block {rows_n}x{cols_n} invalid for residual shape {eps.shape}"
-        )
-    b1 = eps.shape[0] // rows_n
-    b2 = eps.shape[1] // cols_n
-    blocks = eps[: b1 * rows_n, : b2 * cols_n].reshape(b1, rows_n, b2, cols_n)
+    if n < 1 or n > min(eps.shape):
+        raise ValidationError(f"block {n}x{n} invalid for residual shape {eps.shape}")
+    b1 = eps.shape[0] // n
+    b2 = eps.shape[1] // n
+    blocks = eps[: b1 * n, : b2 * n].reshape(b1, n, b2, n)
     rms = np.sqrt(np.mean(blocks**2, axis=(1, 3)))
-    scale = rows_n if n2 is None else anisotropic_scale(rows_n, cols_n)
-    return SegmentFluctuations(rms.ravel(), scale=scale)
-
-
-def anisotropic_scale(n1: int, n2: int) -> float:
-    """Common scale reported for an n1 x n2 window, sqrt((n1^2 + n2^2) / 2)."""
-    return float(np.sqrt((n1 * n1 + n2 * n2) / 2.0))
+    return SegmentFluctuations(rms.ravel(), scale=n)
 
 
 def _as_surface_values(surface, min_side: int = 4) -> np.ndarray:
@@ -202,20 +192,6 @@ def _validate_scales_2d(scales, shape):
     return grid
 
 
-def fluctuations_for_config(surface, cfg: DetrendConfig2D, qs) -> tuple[float, np.ndarray]:
-    """F_q values for one window configuration, isotropic or not.
-
-    Returns the reported scale and the row of fluctuations over ``qs``.
-    """
-    values = _as_surface_values(surface)
-    qgrid = as_q_grid(qs)
-    agg = window_aggregates(values, cfg)
-    eps = residual_matrix_2d(agg, cfg)
-    segs = segment_rms_2d(eps, cfg.n1, cfg.n2 if cfg.n2 != cfg.n1 else None)
-    row = np.array([_power_mean(segs.values, float(q), segs.scale) for q in qgrid.values])
-    return float(segs.scale), row
-
-
 def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> FluctuationTable:
     """Fluctuation functions of a surface via isotropic sliding windows.
 
@@ -231,15 +207,12 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     """
     values = _as_surface_values(surface)
     grid = _validate_scales_2d(scales, values.shape)
-    qgrid = as_q_grid(qs)
-    table = np.empty((len(grid), len(qgrid)))
-    for i, n in enumerate(grid.values):
-        cfg = DetrendConfig2D(int(n), int(n), theta, theta)
-        agg = window_aggregates(values, cfg)
-        segs = segment_rms_2d(residual_matrix_2d(agg, cfg), int(n))
-        for j, q in enumerate(qgrid.values):
-            table[i, j] = _power_mean(segs.values, float(q), int(n))
-    return FluctuationTable(grid, qgrid, table)
+
+    def rms_at(n):
+        cfg = DetrendConfig2D(n, n, theta, theta)
+        return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
+
+    return _fluctuation_table(grid, qs, rms_at)
 
 
 def _plane_residuals(blocks: np.ndarray) -> np.ndarray:
@@ -273,19 +246,15 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
     """
     values = _as_surface_values(surface)
     grid = _validate_scales_2d(scales, values.shape)
-    qgrid = as_q_grid(qs)
-    table = np.empty((len(grid), len(qgrid)))
-    for i, n in enumerate(grid.values):
-        n = int(n)
+
+    def rms_at(n):
         b1, b2 = values.shape[0] // n, values.shape[1] // n
         blocks = (
             values[: b1 * n, : b2 * n]
             .reshape(b1, n, b2, n)
             .transpose(0, 2, 1, 3)
         )
-        cum = blocks.cumsum(axis=2).cumsum(axis=3)
-        resid = _plane_residuals(cum)
-        fv = np.sqrt(np.mean(resid**2, axis=(2, 3))).ravel()
-        for j, q in enumerate(qgrid.values):
-            table[i, j] = _power_mean(fv, float(q), n)
-    return FluctuationTable(grid, qgrid, table)
+        resid = _plane_residuals(blocks.cumsum(axis=2).cumsum(axis=3))
+        return np.sqrt(np.mean(resid**2, axis=(2, 3))).ravel()
+
+    return _fluctuation_table(grid, qs, rms_at)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -47,27 +47,6 @@ __all__ = [
 MODES = ("series", "surface")
 METHODS = ("mfdma", "mfdfa")
 FORMATS = ("json", "csv-set", "plot-data")
-
-# Static defaults; n_max of None resolves against the ingested data so the
-# grid respects the N/4 cap.  The resolved values are echoed in provenance.
-DEFAULTS = {
-    "mode": "series",
-    "method": "mfdma",
-    "theta": 0.0,
-    "q_min": -4.0,
-    "q_max": 4.0,
-    "q_step": 0.1,
-    "n_min": None,
-    "n_max": None,
-    "n_count": None,
-    "fit_lo": None,
-    "fit_hi": None,
-    "legendre_half_window": 3,
-    "seed": 0,
-    "input_path": None,
-    "out_dir": None,
-    "out_format": "json",
-}
 
 
 @dataclass(frozen=True)
@@ -140,6 +119,11 @@ class AnalysisConfig:
         return cfg
 
 
+# Static defaults; n_max of None resolves against the ingested data so the
+# grid respects the N/4 cap.  The resolved values are echoed in provenance.
+DEFAULTS = {f.name: f.default for f in fields(AnalysisConfig)}
+
+
 @dataclass(eq=False)
 class ResultBundle:
     """All artifacts of one analysis plus the provenance block."""
@@ -152,21 +136,7 @@ class ResultBundle:
     def __eq__(self, other):
         if not isinstance(other, ResultBundle):
             return NotImplemented
-        return (
-            np.array_equal(self.table.scales.values, other.table.scales.values)
-            and np.array_equal(self.table.qs.values, other.table.qs.values)
-            and np.array_equal(self.table.values, other.table.values)
-            and np.array_equal(self.estimate.h, other.estimate.h)
-            and np.array_equal(self.estimate.h_se, other.estimate.h_se)
-            and np.array_equal(self.estimate.tau, other.estimate.tau)
-            and self.estimate.fractal_dim == other.estimate.fractal_dim
-            and tuple(self.estimate.fit_range) == tuple(other.estimate.fit_range)
-            and np.array_equal(self.spectrum.qs, other.spectrum.qs)
-            and np.array_equal(self.spectrum.alpha, other.spectrum.alpha)
-            and np.array_equal(self.spectrum.f, other.spectrum.f)
-            and self.spectrum.width == other.spectrum.width
-            and self.provenance == other.provenance
-        )
+        return _bundle_to_dict(self) == _bundle_to_dict(other)
 
 
 def _parse_float(token: str, path, line_no: int) -> float:
@@ -183,14 +153,12 @@ def _parse_float(token: str, path, line_no: int) -> float:
     return value
 
 
-def ingest_series(path, fmt: str = "auto") -> Series:
+def ingest_series(path) -> Series:
     """Read a series from one-value-per-line text or single-column CSV.
 
     A non-numeric first line is treated as a header.  Any later
     non-numeric row raises InputFormatError naming the line.
     """
-    if fmt not in ("auto", "text", "csv"):
-        raise ValidationError(f"unknown series format {fmt!r}")
     path = Path(path)
     values = []
     with open(path) as handle:
@@ -246,10 +214,13 @@ def ingest_surface(path) -> Surface:
     return Surface(np.array(rows), name=path.name)
 
 
+def _series_csv(series: Series) -> str:
+    return "".join(f"{float(v)!r}\n" for v in series.values)
+
+
 def write_series_csv(series: Series, path):
     """Write a series as single-column CSV with full float precision."""
-    path = Path(path)
-    path.write_text("".join(f"{float(v)!r}\n" for v in series.values))
+    Path(path).write_text(_series_csv(series))
 
 
 def write_surface_csv(surface: Surface, path):
@@ -266,12 +237,6 @@ def _sha256_file(path) -> str:
         for chunk in iter(lambda: handle.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
-
-
-def series_digest(series: Series) -> str:
-    """Digest of the canonical CSV bytes of an in-memory series."""
-    text = "".join(f"{float(v)!r}\n" for v in series.values)
-    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, dict]:
@@ -363,12 +328,12 @@ def run_pipeline(cfg: AnalysisConfig) -> ResultBundle:
     return _analyze(cfg, data, _sha256_file(cfg.input_path))
 
 
-def analyze_series(cfg: AnalysisConfig, series: Series, digest: str | None = None) -> ResultBundle:
+def analyze_series(cfg: AnalysisConfig, series: Series) -> ResultBundle:
     """Run the pipeline on an in-memory series (surrogate and compare paths)."""
     cfg.validate()
     if cfg.mode != "series":
         raise ValidationError("analyze_series needs a series-mode config")
-    return _analyze(cfg, series, digest or series_digest(series))
+    return _analyze(cfg, series, hashlib.sha256(_series_csv(series).encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------

@@ -351,6 +351,4 @@ def tau_error(est: ScalingEstimate, tau_analytic) -> np.ndarray:
 
 def spectrum_width(spec: SingularitySpectrum) -> float:
     """Width of the singularity spectrum, alpha_max - alpha_min."""
-    if spec.alpha.size == 0:
-        raise ValidationError("empty spectrum")
-    return float(spec.alpha.max() - spec.alpha.min())
+    return spec.width

@@ -8,17 +8,22 @@ from mfdma import (
     DetrendConfig,
     Series,
     ValidationError,
+    build_q_grid,
     build_scale_grid,
     fit_scaling,
     mfdfa_fluctuations_1d,
+    mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
+    mfdma_fluctuations_2d,
     moving_average,
     overall_fluctuation,
     profile,
     residual_series,
     segment_rms,
 )
-from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum
+from mfdma import dma1d
+from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
+from reference import scalar_power_mean
 
 
 # ---------------------------------------------------------------- profile
@@ -156,6 +161,65 @@ def test_overall_fluctuation_monotone_in_q(rng):
         segs = SegmentFluctuations(values, scale=4)
         results = np.array([overall_fluctuation(segs, q) for q in qs])
         assert np.all(np.diff(results) >= 0)
+
+
+# ------------------------------------------------------ q-grid power mean
+
+SERIES_SCALES = build_scale_grid(10, 1000, 30)  # series defaults for N = 2^14
+SURFACE_SCALES = build_scale_grid(8, 256, 15)  # surface defaults for 1024^2
+DEFAULT_QS = build_q_grid(-4.0, 4.0, 0.1)
+
+
+@pytest.mark.parametrize(
+    "data, estimator, scales",
+    [
+        ("binomial_k14", lambda x, s, q: mfdma_fluctuations_1d(x, s, q, theta=0.0), SERIES_SCALES),
+        ("binomial_k14", lambda x, s, q: mfdma_fluctuations_1d(x, s, q, theta=0.5), SERIES_SCALES),
+        ("binomial_k14", lambda x, s, q: mfdma_fluctuations_1d(x, s, q, theta=1.0), SERIES_SCALES),
+        ("binomial_k14", mfdfa_fluctuations_1d, SERIES_SCALES),
+        ("cascade_k10", mfdma_fluctuations_2d, SURFACE_SCALES),
+        ("cascade_k10", mfdfa_fluctuations_2d, SURFACE_SCALES),
+    ],
+    ids=["mfdma-theta0", "mfdma-theta0.5", "mfdma-theta1", "mfdfa", "mfdma-2d", "mfdfa-2d"],
+)
+def test_q_grid_power_mean_is_bitwise_the_scalar_loop(
+    request, monkeypatch, data, estimator, scales
+):
+    calls = []
+
+    def spy(values, qs, scale):
+        out = _power_mean(values, qs, scale)
+        calls.append((values, scale, out))
+        return out
+
+    monkeypatch.setattr(dma1d, "_power_mean", spy)
+    table = estimator(request.getfixturevalue(data), scales, DEFAULT_QS)
+    assert [scale for _, scale, _ in calls] == scales.values.tolist()
+    for values, scale, out in calls:
+        ref = np.array([scalar_power_mean(values, q, scale) for q in DEFAULT_QS.values.tolist()])
+        assert out.tobytes() == ref.tobytes(), f"n={scale}"
+    assert table.values.tobytes() == np.array([out for *_, out in calls]).tobytes()
+
+
+@pytest.mark.parametrize("qs", [[-2.0, -1.0, 0.0, 1.0], [0.0, 2.0], [-0.5, 3.0]])
+def test_q_grid_zero_segment_raises_like_the_scalar_loop(qs):
+    values = np.array([1.0, 0.0, 2.0])
+    with pytest.raises(DegenerateSegmentError) as ref:
+        [scalar_power_mean(values, q, 8) for q in qs]
+    with pytest.raises(DegenerateSegmentError) as err:
+        _power_mean(values, qs, 8)
+    assert (err.value.scale, err.value.q, str(err.value)) == (
+        ref.value.scale, ref.value.q, str(ref.value)
+    )
+    assert err.value.q == qs[0]
+
+
+def test_q_grid_zero_segment_is_allowed_for_positive_q():
+    values = np.array([1.0, 0.0, 2.0])
+    qs = [0.5, 1.0, 2.0]
+    out = _power_mean(values, qs, 8)
+    assert out.tobytes() == np.array([scalar_power_mean(values, q, 8) for q in qs]).tobytes()
+    assert np.array_equal(_power_mean(np.zeros(4), qs, 8), np.zeros(3))
 
 
 # ------------------------------------------------------------ mfdma 1d

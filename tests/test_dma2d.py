@@ -6,7 +6,6 @@ from mfdma import (
     DetrendConfig2D,
     Surface,
     ValidationError,
-    anisotropic_scale,
     build_scale_grid,
     fit_scaling,
     mfdfa_fluctuations_2d,
@@ -15,7 +14,7 @@ from mfdma import (
     segment_rms_2d,
     window_aggregates,
 )
-from mfdma.dma2d import _plane_residuals, fluctuations_for_config
+from mfdma.dma2d import _plane_residuals
 
 
 def naive_aggregates(values, n1, n2):
@@ -214,15 +213,6 @@ def test_mfdma2d_scale_cap_is_enforced():
 def test_mfdma2d_small_surface_needs_four_rows():
     with pytest.raises(ValidationError, match="at least 4"):
         mfdma_fluctuations_2d(np.ones((1, 32)), [2], [2.0])
-
-
-def test_anisotropic_config_reports_blended_scale(rng):
-    values = rng.random((48, 64)) + 0.05
-    cfg = DetrendConfig2D(4, 8, 0.0, 0.0)
-    scale, row = fluctuations_for_config(values, cfg, [-1.0, 0.0, 2.0])
-    assert scale == pytest.approx(anisotropic_scale(4, 8))
-    assert scale == pytest.approx(np.sqrt((16 + 64) / 2))
-    assert np.all(np.diff(row) >= 0)
 
 
 # ------------------------------------------------------------- mfdfa 2d
