@@ -36,8 +36,10 @@ from .pipeline import (
     MODES,
     AnalysisConfig,
     _write_rows,
+    analyze,
     analyze_series,
     emit_results,
+    ingest_input,
     ingest_series,
     run_pipeline,
     write_series_csv,
@@ -51,6 +53,7 @@ from .spectrum import (
     analytic_tau_1d,
     analytic_tau_2d,
     build_q_grid,
+    tau_error,
 )
 
 EXIT_OK = 0
@@ -214,10 +217,11 @@ def cmd_compare(args) -> int:
     if args.analytic_weights is not None and cfg.mode != "surface":
         raise ValidationError("--analytic-weights implies --mode surface")
 
-    bundles = {}
-    for label, method, theta in COMPARE_METHODS:
-        run_cfg = replace(cfg, method=method, theta=theta)
-        bundles[label] = run_pipeline(run_cfg)
+    data, digest = ingest_input(cfg)
+    bundles = {
+        label: analyze(replace(cfg, method=method, theta=theta), data, digest)
+        for label, method, theta in COMPARE_METHODS
+    }
 
     qs = bundles["mfdma_theta0"].estimate.qs.values
     if args.analytic_p1 is not None:
@@ -225,15 +229,12 @@ def cmd_compare(args) -> int:
     else:
         tau_ref = np.asarray(analytic_tau_2d(_parse_weights(args.analytic_weights), qs))
 
-    sums = {label: float(np.abs(b.estimate.tau - tau_ref).sum()) for label, b in bundles.items()}
+    dtaus = {label: tau_error(b.estimate, tau_ref) for label, b in bundles.items()}
+    sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}
     ranking = sorted(sums, key=sums.get)
-    print(f"{'q':>6}  " + "  ".join(f"{label:>15}" for label, *_ in COMPARE_METHODS))
+    print(f"{'q':>6}  " + "  ".join(f"{label:>15}" for label in dtaus))
     for i, q in enumerate(qs):
-        cells = "  ".join(
-            f"{bundles[label].estimate.tau[i] - tau_ref[i]:>15.4f}"
-            for label, *_ in COMPARE_METHODS
-        )
-        print(f"{q:>6g}  {cells}")
+        print(f"{q:>6g}  " + "  ".join(f"{d[i]:>15.4f}" for d in dtaus.values()))
     print("sum |delta tau|: " + ", ".join(f"{k} = {sums[k]:.4f}" for k in ranking))
     print("ranking (best first): " + " < ".join(ranking))
 
@@ -247,7 +248,7 @@ def cmd_compare(args) -> int:
         taus = [b.estimate.tau for b in bundles.values()]
         header = ["q", "tau_analytic"]
         header += [f"tau_{l}" for l in bundles] + [f"dtau_{l}" for l in bundles]
-        _write_rows(path, header, [qs, tau_ref] + taus + [tau - tau_ref for tau in taus])
+        _write_rows(path, header, [qs, tau_ref] + taus + list(dtaus.values()))
         summary_path = out_dir / "compare_summary.json"
         summary_path.write_text(
             json.dumps({"sum_abs_dtau": sums, "ranking": ranking}, indent=2, sort_keys=True)

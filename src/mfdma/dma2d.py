@@ -116,7 +116,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
     weight (n1 - a) * (n2 - b) at offset (a, b) inside the window, which is
     what the rolling passes compute.
     """
-    values = surface.values if isinstance(surface, Surface) else Surface(surface).values
+    values = _as_surface_values(surface, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
     if n1 > values.shape[0] or n2 > values.shape[1]:
         raise ValidationError(

@@ -10,14 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ._version import __version__
-from .dma1d import mfdfa_fluctuations_1d, mfdma_fluctuations_1d
-from .dma2d import mfdfa_fluctuations_2d, mfdma_fluctuations_2d
+from .dma1d import _as_series_values, mfdfa_fluctuations_1d, mfdma_fluctuations_1d
+from .dma2d import _as_surface_values, mfdfa_fluctuations_2d, mfdma_fluctuations_2d
 from .exceptions import InputFormatError, ValidationError
 from .generators import Series, Surface
 from .spectrum import (
@@ -30,6 +31,7 @@ from .spectrum import (
     build_scale_grid,
     fit_scaling,
     legendre_spectrum,
+    tau_error,
 )
 
 __all__ = [
@@ -39,6 +41,8 @@ __all__ = [
     "ingest_surface",
     "write_series_csv",
     "write_surface_csv",
+    "ingest_input",
+    "analyze",
     "run_pipeline",
     "emit_results",
     "read_bundle",
@@ -139,79 +143,83 @@ class ResultBundle:
         return _bundle_to_dict(self) == _bundle_to_dict(other)
 
 
-def _parse_float(token: str, path, line_no: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise InputFormatError(
-            f"{path}: line {line_no}: not a number: {token!r}", path=str(path), line=line_no
-        ) from None
-    if not np.isfinite(value):
-        raise InputFormatError(
-            f"{path}: line {line_no}: non-finite value {token!r}", path=str(path), line=line_no
-        )
-    return value
+def _line_error(path, line_no: int, problem: str) -> InputFormatError:
+    return InputFormatError(f"{path}: line {line_no}: {problem}", path=str(path), line=line_no)
+
+
+def _bad_token(path, line_no: int, tokens) -> InputFormatError:
+    """The error naming the first token of a row that is not a finite float."""
+    for token in tokens:
+        try:
+            if math.isfinite(float(token)):
+                continue
+            problem = "non-finite value"
+        except ValueError:
+            problem = "not a number:"
+        return _line_error(path, line_no, f"{problem} {token.strip()!r}")
+
+
+def _read_rows(path, columns, header: bool = False) -> np.ndarray:
+    """Float rows from the non-blank lines of a comma-delimited text file.
+
+    ``columns(tokens, path, line_no)`` applies the caller's column rule to
+    one line's comma-split tokens and returns the tokens to convert.  Every
+    row must convert to finite floats and be as wide as the first one; the
+    first line that breaks a rule is named.  With ``header``, a line 1 that
+    is not a number is skipped.
+    """
+    rows = []
+    with open(path, encoding="utf-8-sig") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            tokens = columns(line.split(","), path, line_no)
+            try:
+                row = list(map(float, tokens))
+            except ValueError:
+                if header and line_no == 1:
+                    continue
+                raise _bad_token(path, line_no, tokens) from None
+            if not all(map(math.isfinite, row)):
+                raise _bad_token(path, line_no, tokens)
+            if rows and len(row) != len(rows[0]):
+                raise _line_error(
+                    path, line_no, f"ragged row, got {len(row)} values, expected {len(rows[0])}"
+                )
+            rows.append(row)
+    if not rows:
+        raise InputFormatError(f"{path}: no data rows", path=str(path))
+    return np.array(rows)
+
+
+def _single_column(tokens, path, line_no):
+    if len(tokens) > 1 and any(token.strip() for token in tokens[1:]):
+        raise _line_error(path, line_no, f"expected a single column, got {len(tokens)} fields")
+    return tokens[:1]
+
+
+def _one_trailing_comma(tokens, path, line_no):
+    return tokens[:-1] if tokens[-1] == "" else tokens
 
 
 def ingest_series(path) -> Series:
     """Read a series from one-value-per-line text or single-column CSV.
 
-    A non-numeric first line is treated as a header.  Any later
-    non-numeric row raises InputFormatError naming the line.
+    A non-numeric line 1 is a header; empty trailing fields are ignored.
+    Any other bad row raises InputFormatError naming its line.
     """
     path = Path(path)
-    values = []
-    with open(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")]
-            if any(fields[1:]):
-                raise InputFormatError(
-                    f"{path}: line {line_no}: expected a single column, got {len(fields)} fields",
-                    path=str(path),
-                    line=line_no,
-                )
-            token = fields[0]
-            if line_no == 1 and not values:
-                try:
-                    values.append(_parse_float(token, path, line_no))
-                except InputFormatError:
-                    continue  # header row
-            else:
-                values.append(_parse_float(token, path, line_no))
-    if not values:
-        raise InputFormatError(f"{path}: no data rows", path=str(path))
-    return Series(np.array(values), name=path.name)
+    return Series(_read_rows(path, _single_column, header=True)[:, 0], name=path.name)
 
 
 def ingest_surface(path) -> Surface:
-    """Read a surface from comma-delimited numeric rows of equal length."""
+    """Read a surface from comma-delimited numeric rows of equal length.
+
+    One trailing comma per row is tolerated.
+    """
     path = Path(path)
-    rows = []
-    width = None
-    with open(path) as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = [t.strip() for t in line.split(",")]
-            if tokens and tokens[-1] == "":  # tolerate one trailing comma
-                tokens = tokens[:-1]
-            row = [_parse_float(t, path, line_no) for t in tokens]
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise InputFormatError(
-                    f"{path}: line {line_no}: ragged row, got {len(row)} values, expected {width}",
-                    path=str(path),
-                    line=line_no,
-                )
-            rows.append(row)
-    if not rows:
-        raise InputFormatError(f"{path}: no data rows", path=str(path))
-    return Surface(np.array(rows), name=path.name)
+    return Surface(_read_rows(path, _one_trailing_comma), name=path.name)
 
 
 def _series_csv(series: Series) -> str:
@@ -260,41 +268,25 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, d
     return scales, qs, resolved
 
 
-def _analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
-    """Shared analysis path for ingested and in-memory data."""
-    if cfg.mode == "series":
-        shape = (len(data),)
-        fractal_dim = 1.0
-        if shape[0] < 4:
-            raise ValidationError(
-                f"series has {shape[0]} points, analysis needs at least 4"
-            )
-    else:
-        shape = data.shape
-        fractal_dim = 2.0
-        if min(shape) < 4:
-            raise ValidationError(
-                f"surface of shape {shape} is too small, "
-                "analysis needs at least 4 rows and columns"
-            )
+def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
+    """Analyze ingested or in-memory data under an already validated config."""
+    series = cfg.mode == "series"
+    shape = (_as_series_values(data) if series else _as_surface_values(data)).shape
     scales, qs, resolved = _resolve_grids(cfg, shape)
-    if cfg.mode == "series":
-        if cfg.method == "mfdma":
-            table = mfdma_fluctuations_1d(data, scales, qs, cfg.theta)
-        else:
-            table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
+    if cfg.method == "mfdma":
+        estimator = mfdma_fluctuations_1d if series else mfdma_fluctuations_2d
+        table = estimator(data, scales, qs, cfg.theta)
+    elif series:
+        table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
     else:
-        if cfg.method == "mfdma":
-            table = mfdma_fluctuations_2d(data, scales, qs, cfg.theta)
-        else:
-            table = mfdfa_fluctuations_2d(data, scales, qs)
+        table = mfdfa_fluctuations_2d(data, scales, qs)
     fit_range = None
     if cfg.fit_lo is not None or cfg.fit_hi is not None:
         fit_range = (
             cfg.fit_lo if cfg.fit_lo is not None else float(scales.values[0]),
             cfg.fit_hi if cfg.fit_hi is not None else float(scales.values[-1]),
         )
-    estimate = fit_scaling(table, fit_range, fractal_dim)
+    estimate = fit_scaling(table, fit_range, 1.0 if series else 2.0)
     spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
     effective = asdict(cfg)
     effective.update(resolved)
@@ -312,28 +304,33 @@ def _analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
     return ResultBundle(table, estimate, spectrum, provenance)
 
 
+def ingest_input(cfg: AnalysisConfig):
+    """Validate ``cfg``, then read its input file as ``cfg.mode`` data.
+
+    Returns the data and the SHA-256 of the file's bytes.
+    """
+    cfg.validate()
+    if cfg.input_path is None:
+        raise ValidationError("config has no input path")
+    ingest = ingest_series if cfg.mode == "series" else ingest_surface
+    return ingest(cfg.input_path), _sha256_file(cfg.input_path)
+
+
 def run_pipeline(cfg: AnalysisConfig) -> ResultBundle:
     """Ingest, analyze, and package one run as configured.
 
     Deterministic: identical input bytes and config produce an identical
     bundle.  Grid and cap validation happen before any heavy computation.
     """
-    cfg.validate()
-    if cfg.input_path is None:
-        raise ValidationError("config has no input path")
-    if cfg.mode == "series":
-        data = ingest_series(cfg.input_path)
-    else:
-        data = ingest_surface(cfg.input_path)
-    return _analyze(cfg, data, _sha256_file(cfg.input_path))
+    return analyze(cfg, *ingest_input(cfg))
 
 
 def analyze_series(cfg: AnalysisConfig, series: Series) -> ResultBundle:
-    """Run the pipeline on an in-memory series (surrogate and compare paths)."""
+    """Run the pipeline on an in-memory series (surrogate path)."""
     cfg.validate()
     if cfg.mode != "series":
         raise ValidationError("analyze_series needs a series-mode config")
-    return _analyze(cfg, series, hashlib.sha256(_series_csv(series).encode()).hexdigest())
+    return analyze(cfg, series, hashlib.sha256(_series_csv(series).encode()).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +410,15 @@ def _write_rows(path, header, columns):
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _write_blocks(path, blocks, block_end):
+    """Write gnuplot two-column blocks: a ``# title`` line, then one ``x y`` line per point."""
+    with open(path, "w") as handle:
+        for title, xs, ys in blocks:
+            handle.write(f"# {title}\n")
+            handle.writelines(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
+            handle.write(block_end)
+
+
 def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=None):
     """Write a bundle under ``out_dir`` in the requested format.
 
@@ -463,42 +469,26 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
         written.append(path)
 
     else:  # plot-data
-        ns = bundle.table.scales.values.astype(float)
-        path = out_dir / "fq_vs_n.dat"
-        with open(path, "w") as handle:
-            for j, q in enumerate(bundle.table.qs.values):
-                handle.write(f"# q = {q:g}\n")
-                for n, fval in zip(np.log(ns), np.log(bundle.table.values[:, j])):
-                    handle.write(f"{float(n)!r} {float(fval)!r}\n")
-                handle.write("\n")
-        written.append(path)
-
         est = bundle.estimate
-        path = out_dir / "tau_vs_q.dat"
-        with open(path, "w") as handle:
-            handle.write("# tau(q)\n")
-            for q, t in zip(est.qs.values, est.tau):
-                handle.write(f"{float(q)!r} {float(t)!r}\n")
-        written.append(path)
-
+        ln_n = np.log(bundle.table.scales.values.astype(float))
+        panels = [
+            ("fq_vs_n.dat", "\n", [
+                (f"q = {q:g}", ln_n, np.log(bundle.table.values[:, j]))
+                for j, q in enumerate(bundle.table.qs.values)
+            ]),
+            ("tau_vs_q.dat", "", [("tau(q)", est.qs.values, est.tau)]),
+        ]
         if tau_reference is not None:
-            ref = np.asarray(tau_reference, dtype=float)
-            if ref.shape != est.tau.shape:
-                raise ValidationError(
-                    f"tau reference shape {ref.shape} does not match estimate {est.tau.shape}"
-                )
-            path = out_dir / "dtau_vs_q.dat"
-            with open(path, "w") as handle:
-                handle.write("# tau(q) - tau_reference(q)\n")
-                for q, d in zip(est.qs.values, est.tau - ref):
-                    handle.write(f"{float(q)!r} {float(d)!r}\n")
+            dtau = tau_error(est, tau_reference)
+            panels.append(
+                ("dtau_vs_q.dat", "", [("tau(q) - tau_reference(q)", est.qs.values, dtau)])
+            )
+        panels.append(
+            ("f_vs_alpha.dat", "", [("f(alpha)", bundle.spectrum.alpha, bundle.spectrum.f)])
+        )
+        for name, block_end, blocks in panels:
+            path = out_dir / name
+            _write_blocks(path, blocks, block_end)
             written.append(path)
-
-        path = out_dir / "f_vs_alpha.dat"
-        with open(path, "w") as handle:
-            handle.write("# f(alpha)\n")
-            for a, fv in zip(bundle.spectrum.alpha, bundle.spectrum.f):
-                handle.write(f"{float(a)!r} {float(fv)!r}\n")
-        written.append(path)
 
     return written

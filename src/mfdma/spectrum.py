@@ -123,13 +123,6 @@ class FluctuationTable:
             raise ValidationError(f"fluctuation table shape {v.shape}, expected {expected}")
         object.__setattr__(self, "values", v)
 
-    def column(self, q: float) -> np.ndarray:
-        """The F(n) column for one q value."""
-        idx = np.flatnonzero(np.isclose(self.qs.values, q, rtol=0, atol=1e-12))
-        if idx.size == 0:
-            raise ValidationError(f"q={q} is not on the table's q grid")
-        return self.values[:, int(idx[0])]
-
 
 @dataclass(frozen=True)
 class ScalingEstimate:

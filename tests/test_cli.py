@@ -147,6 +147,32 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
     assert "ranking (best first)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mode", ["series", "surface"])
+def test_compare_reads_its_input_once(mode, measure_file, tmp_path, monkeypatch):
+    from mfdma import CascadeSpec2D, cascade_measure_2d, pipeline, write_surface_csv
+
+    if mode == "series":
+        path, reference, grid = measure_file, ["--analytic-p1", "0.3"], GRID
+    else:
+        path = tmp_path / "surface.csv"
+        write_surface_csv(cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), 5)), path)
+        reference = ["--analytic-weights", "0.1,0.2,0.3,0.4"]
+        grid = ["--n-min", "2", "--n-max", "8", "--n-count", "4", "--q-step", "1"]
+    calls = []
+    for name in ("ingest_series", "ingest_surface"):
+        def spy(p, real=getattr(pipeline, name), name=name):
+            calls.append(name)
+            return real(p)
+
+        monkeypatch.setattr(pipeline, name, spy)
+    out_dir = tmp_path / "cmp"
+    argv = ["compare", "--mode", mode, "--input", str(path), "--out-dir", str(out_dir)]
+    assert main(argv + reference + grid) == 0
+    assert calls == [f"ingest_{mode}"]
+    summary = json.loads((out_dir / "compare_summary.json").read_text())
+    assert len(summary["sum_abs_dtau"]) == 4
+
+
 def test_oracle_stdout_and_file(tmp_path, capsys):
     assert main(["oracle", "--p1", "0.3", "--q-min", "-2", "--q-max", "2", "--q-step", "1"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()

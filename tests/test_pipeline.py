@@ -93,6 +93,87 @@ def test_ingest_surface_single_row_rejected_at_analysis(tmp_path):
         run_pipeline(cfg)
 
 
+def _fails(line, message):
+    return InputFormatError, message, line
+
+
+# (reader, file text, expected): expected is the ingested values, or the
+# exception class, the message after "<path>: " and the error's .line.
+INGEST_CORPUS = {
+    "crlf-series": ("series", "1\r\n2\r\n3\r\n", [1.0, 2.0, 3.0]),
+    "crlf-surface": ("surface", "1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "blank-lines": ("series", "\n1\n\n  \n2\n\n", [1.0, 2.0]),
+    "header": ("series", "ret\r\n0.5\n1.5\n", [0.5, 1.5]),
+    "header-only": ("series", "ret\n", _fails(None, "no data rows")),
+    "header-not-on-line-1": ("series", "1\nret\n", _fails(2, "line 2: not a number: 'ret'")),
+    "header-after-blank-line": ("series", "\nret\n1\n", _fails(2, "line 2: not a number: 'ret'")),
+    "surface-header": ("surface", "a,b\n1,2\n", _fails(1, "line 1: not a number: 'a'")),
+    "whitespace-series": ("series", "  1.5 \n\t2.5\t\n", [1.5, 2.5]),
+    "whitespace-surface": ("surface", " 1 ,  2 \n 3,4 \n", [[1.0, 2.0], [3.0, 4.0]]),
+    "surface-trailing-comma": ("surface", "1,2,\n3,4 ,\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "surface-two-trailing-commas": ("surface", "1,2,,\n", _fails(1, "line 1: not a number: ''")),
+    "series-empty-trailing-fields": ("series", "1,,\n2, ,\n3\n", [1.0, 2.0, 3.0]),
+    "series-two-columns": ("series", "1\n2,3\n", _fails(
+        2, "line 2: expected a single column, got 2 fields")),
+    "ragged": ("surface", "1,2\n3,4,5\n", _fails(
+        2, "line 2: ragged row, got 3 values, expected 2")),
+    "ragged-row-with-bad-token": ("surface", "1,2\n3,x,5\n", _fails(
+        2, "line 2: not a number: 'x'")),
+    "non-numeric-series": ("series", "1\n2\nabc\n4\n", _fails(3, "line 3: not a number: 'abc'")),
+    "non-numeric-surface": ("surface", "1,2\n3, abc\n", _fails(2, "line 2: not a number: 'abc'")),
+    "non-finite-series": ("series", "1\ninf\n3\n", _fails(2, "line 2: non-finite value 'inf'")),
+    "non-finite-surface": ("surface", "1,2\n3,nan\n", _fails(2, "line 2: non-finite value 'nan'")),
+    "first-bad-token-in-row": ("surface", "1,2\ninf,abc\n", _fails(
+        2, "line 2: non-finite value 'inf'")),
+    "earlier-line-wins-series": ("series", "1\nx\ny\n", _fails(2, "line 2: not a number: 'x'")),
+    "earlier-line-wins-surface": ("surface", "1,2\n3\nx,1\n", _fails(
+        2, "line 2: ragged row, got 1 values, expected 2")),
+}
+
+
+@pytest.mark.parametrize("case", INGEST_CORPUS)
+def test_ingest_corpus(case, tmp_path):
+    kind, text, expected = INGEST_CORPUS[case]
+    path = tmp_path / "in.csv"
+    path.write_bytes(text.encode())
+    ingest = ingest_series if kind == "series" else ingest_surface
+    if isinstance(expected, list):
+        values = ingest(path).values
+        assert values.dtype == np.float64
+        assert values.tobytes() == np.array(expected).tobytes()
+        assert values.shape == np.array(expected).shape
+        return
+    cls, message, line = expected
+    with pytest.raises(cls) as err:
+        ingest(path)
+    assert str(err.value) == f"{path}: {message}"
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffret\n1.5\n2.5\n3.5\n"])
+def test_ingest_series_skips_a_utf8_bom(text, tmp_path):
+    # a BOM must not turn the first value into a header
+    path = tmp_path / "bom.csv"
+    path.write_bytes(text.encode())
+    assert np.array_equal(ingest_series(path).values, [1.5, 2.5, 3.5])
+
+
+def test_ingest_surface_skips_a_utf8_bom(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes("\ufeff1.5,2\n3,4\n".encode())
+    assert np.array_equal(ingest_surface(path).values, [[1.5, 2.0], [3.0, 4.0]])
+
+
+@pytest.mark.parametrize("token", ["inf", "-inf", "nan", "1e999"])
+def test_ingest_series_non_finite_line_1_is_not_a_header(token, tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text(f"{token}\n1\n2\n")
+    with pytest.raises(InputFormatError) as err:
+        ingest_series(path)
+    assert str(err.value) == f"{path}: line 1: non-finite value {token!r}"
+    assert err.value.line == 1
+
+
 def test_series_csv_round_trip_is_exact(tmp_path):
     series = binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=8))
     path = tmp_path / "m.csv"
