@@ -12,7 +12,6 @@ Exit codes: 0 success, 2 validation error, 3 degenerate-data error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -35,13 +34,13 @@ from .pipeline import (
     METHODS,
     MODES,
     AnalysisConfig,
-    _write_rows,
     analyze,
-    analyze_series,
+    csv_digest,
+    csv_table,
     emit_results,
     ingest_input,
-    ingest_series,
-    run_pipeline,
+    ingest_series,  # noqa: F401  perfbench's trace wraps mfdma.cli.ingest_series
+    json_text,
     write_series_csv,
     write_surface_csv,
 )
@@ -96,12 +95,11 @@ def _parse_weights(text: str):
     return weights
 
 
-def _add_analysis_options(parser: argparse.ArgumentParser, with_io=True):
+def _add_analysis_options(parser: argparse.ArgumentParser):
     grid = parser.add_argument_group("analysis options")
-    if with_io:
-        grid.add_argument("--input", help="input data file")
-        grid.add_argument("--mode", choices=MODES)
-        grid.add_argument("--method", choices=METHODS)
+    grid.add_argument("--input", help="input data file")
+    grid.add_argument("--mode", choices=MODES)
+    grid.add_argument("--method", choices=METHODS)
     grid.add_argument("--theta", type=float, help="window position parameter in [0, 1]")
     grid.add_argument("--q-min", type=float, dest="q_min")
     grid.add_argument("--q-max", type=float, dest="q_max")
@@ -123,11 +121,17 @@ def _add_analysis_options(parser: argparse.ArgumentParser, with_io=True):
     grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
-def _config_from_args(args, **overrides) -> AnalysisConfig:
+def _ingest(args, **overrides):
+    """Config, input data and input-file SHA-256; the command line is checked first."""
     options = {k: getattr(args, k, None) for k in DEFAULTS}
-    options["input_path"] = getattr(args, "input", None)
+    options["input_path"] = args.input
     options.update(overrides)
-    return AnalysisConfig.from_sources(options, config_file=getattr(args, "config", None))
+    cfg = AnalysisConfig.from_sources(options, config_file=args.config)
+    if cfg.input_path is None:
+        raise ValidationError(f"{args.command} needs --input")
+    if getattr(args, "analytic_weights", None) is not None and cfg.mode != "surface":
+        raise ValidationError("--analytic-weights implies --mode surface")
+    return (cfg, *ingest_input(cfg))
 
 
 def cmd_generate(args) -> int:
@@ -149,10 +153,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config_from_args(args)
-    if cfg.input_path is None:
-        raise ValidationError("analyze needs --input")
-    bundle = run_pipeline(cfg)
+    cfg, data, digest = _ingest(args)
+    bundle = analyze(cfg, data, digest)
     _print_scaling_summary(bundle, label=Path(cfg.input_path).name)
     if cfg.out_dir is not None:
         written = emit_results(bundle, cfg.out_dir, cfg.out_format)
@@ -162,13 +164,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    cfg = _config_from_args(args, mode="series")
-    if cfg.input_path is None:
-        raise ValidationError("surrogate needs --input")
-    raw = ingest_series(cfg.input_path)
+    cfg, raw, digest = _ingest(args, mode="series")
     shuffled = shuffle_surrogate(raw, cfg.seed)
-    raw_bundle = analyze_series(cfg, raw)
-    shuffled_bundle = analyze_series(cfg, shuffled)
+    raw_bundle = analyze(cfg, raw, digest)
+    shuffled_bundle = analyze(cfg, shuffled, csv_digest(shuffled))
     width_raw = raw_bundle.spectrum.width
     width_shuffled = shuffled_bundle.spectrum.width
     preserved = bool(
@@ -191,9 +190,8 @@ def cmd_surrogate(args) -> int:
         out_dir = Path(cfg.out_dir)
         emit_results(raw_bundle, out_dir / "raw", cfg.out_format)
         emit_results(shuffled_bundle, out_dir / "shuffled", cfg.out_format)
-        out_dir.mkdir(parents=True, exist_ok=True)
         summary_path = out_dir / "surrogate_summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        summary_path.write_text(json_text(summary))
         print(f"wrote {summary_path}")
     return EXIT_OK
 
@@ -211,13 +209,7 @@ def cmd_compare(args) -> int:
         raise ValidationError(
             "compare needs exactly one analytic reference: --analytic-p1 or --analytic-weights"
         )
-    cfg = _config_from_args(args)
-    if cfg.input_path is None:
-        raise ValidationError("compare needs --input")
-    if args.analytic_weights is not None and cfg.mode != "surface":
-        raise ValidationError("--analytic-weights implies --mode surface")
-
-    data, digest = ingest_input(cfg)
+    cfg, data, digest = _ingest(args)
     bundles = {
         label: analyze(replace(cfg, method=method, theta=theta), data, digest)
         for label, method, theta in COMPARE_METHODS
@@ -240,7 +232,6 @@ def cmd_compare(args) -> int:
 
     if cfg.out_dir is not None:
         out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for label, bundle in bundles.items():
             emit_results(bundle, out_dir / label.replace(".", "_"), cfg.out_format,
                          tau_reference=tau_ref if cfg.out_format == "plot-data" else None)
@@ -248,12 +239,9 @@ def cmd_compare(args) -> int:
         taus = [b.estimate.tau for b in bundles.values()]
         header = ["q", "tau_analytic"]
         header += [f"tau_{l}" for l in bundles] + [f"dtau_{l}" for l in bundles]
-        _write_rows(path, header, [qs, tau_ref] + taus + list(dtaus.values()))
+        path.write_text(csv_table(header, [qs, tau_ref] + taus + list(dtaus.values())))
         summary_path = out_dir / "compare_summary.json"
-        summary_path.write_text(
-            json.dumps({"sum_abs_dtau": sums, "ranking": ranking}, indent=2, sort_keys=True)
-            + "\n"
-        )
+        summary_path.write_text(json_text({"sum_abs_dtau": sums, "ranking": ranking}))
         print(f"wrote {path}")
         print(f"wrote {summary_path}")
     return EXIT_OK
@@ -274,12 +262,7 @@ def cmd_oracle(args) -> int:
         tau = np.asarray(analytic_tau_2d(weights, qs))
         alpha = np.asarray(analytic_alpha_2d(weights, qs))
         f = np.asarray(analytic_f_2d(weights, qs))
-    lines = ["q,tau,alpha,f"]
-    lines += [
-        f"{float(q)!r},{float(t)!r},{float(a)!r},{float(fv)!r}"
-        for q, t, a, fv in zip(qs, tau, alpha, f)
-    ]
-    text = "\n".join(lines) + "\n"
+    text = csv_table(["q", "tau", "alpha", "f"], [qs, tau, alpha, f])
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")

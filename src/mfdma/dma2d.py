@@ -78,32 +78,35 @@ class WindowAggregates2D:
     n2: int
 
 
-def _flat_and_ramp_sums(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _flat_and_ramp_sums(x: np.ndarray, n: int, ramp=True) -> tuple[np.ndarray, np.ndarray | None]:
     """Sliding flat and descending-ramp weighted sums along axis 0.
 
     Returns (S, T) of shape (rows - n + 1, cols) with
     S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a].
     Both slide incrementally and are recomputed exactly every
-    RECOMPUTE_EVERY steps.
+    RECOMPUTE_EVERY steps.  With ``ramp`` false, T is None and not computed.
     """
     rows, cols = x.shape
     count = rows - n + 1
-    ramp = np.arange(n, 0, -1, dtype=float)
+    weights = np.arange(n, 0, -1, dtype=float)
     S = np.empty((count, cols))
-    T = np.empty((count, cols))
+    T = np.empty((count, cols)) if ramp else None
     S[0] = x[:n].sum(axis=0)
-    T[0] = ramp @ x[:n]
+    if ramp:
+        T[0] = weights @ x[:n]
     scratch = np.empty(cols)
     for j in range(1, count):
         if j % RECOMPUTE_EVERY == 0:
             S[j] = x[j:j + n].sum(axis=0)
-            T[j] = ramp @ x[j:j + n]
+            if ramp:
+                T[j] = weights @ x[j:j + n]
             continue
         np.subtract(S[j - 1], x[j - 1], out=S[j])
         S[j] += x[j + n - 1]
-        np.multiply(x[j - 1], float(n), out=scratch)
-        np.subtract(T[j - 1], scratch, out=T[j])
-        T[j] += S[j]
+        if ramp:
+            np.multiply(x[j - 1], float(n), out=scratch)
+            np.subtract(T[j - 1], scratch, out=T[j])
+            T[j] += S[j]
     return S, T
 
 
@@ -123,7 +126,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
             f"window {n1}x{n2} does not fit surface of shape {values.shape}"
         )
     S1, T1 = _flat_and_ramp_sums(values, n1)
-    S2, _ = _flat_and_ramp_sums(np.ascontiguousarray(S1.T), n2)
+    S2, _ = _flat_and_ramp_sums(np.ascontiguousarray(S1.T), n2, ramp=False)
     _, T2 = _flat_and_ramp_sums(np.ascontiguousarray(T1.T), n2)
     return WindowAggregates2D(
         total=np.ascontiguousarray(S2.T),

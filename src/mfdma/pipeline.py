@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -104,10 +105,10 @@ class AnalysisConfig:
         if config_file is not None:
             path = Path(config_file)
             try:
-                loaded = json.loads(path.read_text())
+                loaded = json.loads(path.read_text(encoding="utf-8"))
             except OSError as exc:
                 raise InputFormatError(f"cannot read config file: {exc}", path=str(path))
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # not UTF-8, or not JSON
                 raise InputFormatError(
                     f"config file {path} is not valid JSON: {exc}", path=str(path)
                 )
@@ -116,6 +117,15 @@ class AnalysisConfig:
             unknown = sorted(set(loaded) - set(DEFAULTS))
             if unknown:
                 raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+            hints = typing.get_type_hints(cls)
+            for key, value in loaded.items():
+                allowed = typing.get_args(hints[key]) or (hints[key],)
+                if float in allowed:
+                    allowed += (int,)  # a JSON integer is a valid float
+                # no field is boolean, and a JSON boolean is not an integer
+                if isinstance(value, bool) or not isinstance(value, allowed):
+                    declared = cls.__annotations__[key]
+                    raise ValidationError(f"config key {key} must be {declared}, got {value!r}")
             merged.update(loaded)
         merged.update({k: v for k, v in cli_options.items() if v is not None})
         cfg = cls(**merged)
@@ -159,6 +169,16 @@ def _bad_token(path, line_no: int, tokens) -> InputFormatError:
         return _line_error(path, line_no, f"{problem} {token.strip()!r}")
 
 
+def _undecodable_line(path) -> InputFormatError:
+    """The error naming the first line of a file that is not UTF-8."""
+    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return _line_error(path, line_no, f"not UTF-8 text (byte {raw[exc.start]:#04x})")
+    return InputFormatError(f"{path}: not UTF-8 text", path=str(path))
+
+
 def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     """Float rows from the non-blank lines of a comma-delimited text file.
 
@@ -169,25 +189,29 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     is not a number is skipped.
     """
     rows = []
-    with open(path, encoding="utf-8-sig") as handle:
-        for line_no, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            tokens = columns(line.split(","), path, line_no)
-            try:
-                row = list(map(float, tokens))
-            except ValueError:
-                if header and line_no == 1:
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            for line_no, raw in enumerate(handle, start=1):
+                line = raw.strip()
+                if not line:
                     continue
-                raise _bad_token(path, line_no, tokens) from None
-            if not all(map(math.isfinite, row)):
-                raise _bad_token(path, line_no, tokens)
-            if rows and len(row) != len(rows[0]):
-                raise _line_error(
-                    path, line_no, f"ragged row, got {len(row)} values, expected {len(rows[0])}"
-                )
-            rows.append(row)
+                tokens = columns(line.split(","), path, line_no)
+                try:
+                    row = list(map(float, tokens))
+                except ValueError:
+                    if header and line_no == 1:
+                        continue
+                    raise _bad_token(path, line_no, tokens) from None
+                if not all(map(math.isfinite, row)):
+                    raise _bad_token(path, line_no, tokens)
+                if rows and len(row) != len(rows[0]):
+                    raise _line_error(
+                        path, line_no,
+                        f"ragged row, got {len(row)} values, expected {len(rows[0])}",
+                    )
+                rows.append(row)
+    except UnicodeDecodeError:
+        raise _undecodable_line(path) from None
     if not rows:
         raise InputFormatError(f"{path}: no data rows", path=str(path))
     return np.array(rows)
@@ -237,6 +261,11 @@ def write_surface_csv(surface: Surface, path):
     with open(path, "w") as handle:
         for row in surface.values:
             handle.write(",".join(repr(float(v)) for v in row) + "\n")
+
+
+def csv_digest(series: Series) -> str:
+    """SHA-256 of the text ``write_series_csv`` writes for ``series``."""
+    return hashlib.sha256(_series_csv(series).encode()).hexdigest()
 
 
 def _sha256_file(path) -> str:
@@ -325,14 +354,6 @@ def run_pipeline(cfg: AnalysisConfig) -> ResultBundle:
     return analyze(cfg, *ingest_input(cfg))
 
 
-def analyze_series(cfg: AnalysisConfig, series: Series) -> ResultBundle:
-    """Run the pipeline on an in-memory series (surrogate path)."""
-    cfg.validate()
-    if cfg.mode != "series":
-        raise ValidationError("analyze_series needs a series-mode config")
-    return analyze(cfg, series, hashlib.sha256(_series_csv(series).encode()).hexdigest())
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -396,27 +417,27 @@ def read_bundle(path) -> ResultBundle:
     """Load a bundle previously emitted as JSON."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
         raise InputFormatError(f"{path} is not valid JSON: {exc}", path=str(path))
     return _bundle_from_dict(doc)
 
 
-def _write_rows(path, header, columns):
-    rows = zip(*columns)
-    with open(path, "w") as handle:
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+def json_text(doc) -> str:
+    """Indented JSON with sorted keys and a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _write_blocks(path, blocks, block_end):
-    """Write gnuplot two-column blocks: a ``# title`` line, then one ``x y`` line per point."""
-    with open(path, "w") as handle:
-        for title, xs, ys in blocks:
-            handle.write(f"# {title}\n")
-            handle.writelines(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
-            handle.write(block_end)
+def csv_table(header, columns) -> str:
+    """CSV text: the header line, then one row of full-precision floats per index."""
+    lines = [",".join(header)]
+    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    return "\n".join(lines) + "\n"
+
+
+def _plot_block(title, xs, ys) -> str:
+    """A gnuplot two-column block: a ``# title`` line, then one ``x y`` line per point."""
+    return f"# {title}\n" + "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
 
 
 def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=None):
@@ -429,66 +450,44 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
     """
     if out_format not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {out_format!r}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
+    est = bundle.estimate
     if out_format == "json":
-        path = out_dir / "result.json"
-        path.write_text(json.dumps(_bundle_to_dict(bundle), indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        files = {"result.json": json_text(_bundle_to_dict(bundle))}
 
     elif out_format == "csv-set":
-        ns = bundle.table.scales.values
         qs = bundle.table.qs.values
-        path = out_dir / "fluctuations.csv"
-        header = ["n"] + [f"F[q={q:g}]" for q in qs]
-        columns = [ns] + [bundle.table.values[:, j] for j in range(qs.size)]
-        _write_rows(path, header, columns)
-        written.append(path)
-
-        est = bundle.estimate
-        path = out_dir / "scaling.csv"
-        _write_rows(
-            path,
-            ["q", "h", "h_se", "tau", "tau_se"],
-            [est.qs.values, est.h, est.h_se, est.tau, np.abs(est.qs.values) * est.h_se],
-        )
-        written.append(path)
-
-        path = out_dir / "spectrum.csv"
-        _write_rows(
-            path,
-            ["q", "alpha", "f"],
-            [bundle.spectrum.qs, bundle.spectrum.alpha, bundle.spectrum.f],
-        )
-        written.append(path)
-
-        path = out_dir / "provenance.json"
-        path.write_text(json.dumps(bundle.provenance, indent=2, sort_keys=True) + "\n")
-        written.append(path)
+        files = {
+            "fluctuations.csv": csv_table(
+                ["n"] + [f"F[q={q:g}]" for q in qs],
+                [bundle.table.scales.values, *bundle.table.values.T],
+            ),
+            "scaling.csv": csv_table(
+                ["q", "h", "h_se", "tau", "tau_se"],
+                [est.qs.values, est.h, est.h_se, est.tau, np.abs(est.qs.values) * est.h_se],
+            ),
+            "spectrum.csv": csv_table(
+                ["q", "alpha", "f"],
+                [bundle.spectrum.qs, bundle.spectrum.alpha, bundle.spectrum.f],
+            ),
+            "provenance.json": json_text(bundle.provenance),
+        }
 
     else:  # plot-data
-        est = bundle.estimate
         ln_n = np.log(bundle.table.scales.values.astype(float))
-        panels = [
-            ("fq_vs_n.dat", "\n", [
-                (f"q = {q:g}", ln_n, np.log(bundle.table.values[:, j]))
+        files = {
+            "fq_vs_n.dat": "".join(
+                _plot_block(f"q = {q:g}", ln_n, np.log(bundle.table.values[:, j])) + "\n"
                 for j, q in enumerate(bundle.table.qs.values)
-            ]),
-            ("tau_vs_q.dat", "", [("tau(q)", est.qs.values, est.tau)]),
-        ]
+            ),
+            "tau_vs_q.dat": _plot_block("tau(q)", est.qs.values, est.tau),
+        }
         if tau_reference is not None:
             dtau = tau_error(est, tau_reference)
-            panels.append(
-                ("dtau_vs_q.dat", "", [("tau(q) - tau_reference(q)", est.qs.values, dtau)])
-            )
-        panels.append(
-            ("f_vs_alpha.dat", "", [("f(alpha)", bundle.spectrum.alpha, bundle.spectrum.f)])
-        )
-        for name, block_end, blocks in panels:
-            path = out_dir / name
-            _write_blocks(path, blocks, block_end)
-            written.append(path)
+            files["dtau_vs_q.dat"] = _plot_block("tau(q) - tau_reference(q)", est.qs.values, dtau)
+        files["f_vs_alpha.dat"] = _plot_block("f(alpha)", bundle.spectrum.alpha, bundle.spectrum.f)
 
-    return written
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out_dir / name).write_text(text)
+    return [out_dir / name for name in files]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -149,6 +150,8 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["series", "surface"])
 def test_compare_reads_its_input_once(mode, measure_file, tmp_path, monkeypatch):
+    # and so do analyze and, on series, surrogate: every analysis command
+    # reads its input through pipeline.ingest_input
     from mfdma import CascadeSpec2D, cascade_measure_2d, pipeline, write_surface_csv
 
     if mode == "series":
@@ -165,12 +168,74 @@ def test_compare_reads_its_input_once(mode, measure_file, tmp_path, monkeypatch)
             return real(p)
 
         monkeypatch.setattr(pipeline, name, spy)
-    out_dir = tmp_path / "cmp"
-    argv = ["compare", "--mode", mode, "--input", str(path), "--out-dir", str(out_dir)]
-    assert main(argv + reference + grid) == 0
-    assert calls == [f"ingest_{mode}"]
-    summary = json.loads((out_dir / "compare_summary.json").read_text())
+    commands = {"analyze": [], "compare": reference}
+    if mode == "series":
+        commands["surrogate"] = []
+    for command, extra in commands.items():
+        calls.clear()
+        out_dir = tmp_path / command
+        argv = [command, "--mode", mode, "--input", str(path), "--out-dir", str(out_dir)]
+        assert main(argv + extra + grid) == 0
+        assert calls == [f"ingest_{mode}"], command
+    summary = json.loads((tmp_path / "compare" / "compare_summary.json").read_text())
     assert len(summary["sum_abs_dtau"]) == 4
+
+
+@pytest.mark.parametrize("kind", ["mfdma-written", "header-crlf"])
+def test_surrogate_raw_result_equals_analyze_result(kind, measure_file, tmp_path):
+    path = measure_file
+    if kind == "header-crlf":
+        path = tmp_path / "crlf.csv"
+        values = np.random.default_rng(5).standard_normal(2048)
+        path.write_bytes(("value\r\n" + "".join(f"{v:.6f}\r\n" for v in values)).encode())
+    flags = ["--input", str(path), "--seed", "4", "--format", "json"] + GRID
+    assert main(["analyze", "--out-dir", str(tmp_path / "ana")] + flags) == 0
+    assert main(["surrogate", "--out-dir", str(tmp_path / "sur")] + flags) == 0
+    result = (tmp_path / "ana" / "result.json").read_bytes()
+    assert (tmp_path / "sur" / "raw" / "result.json").read_bytes() == result
+    digest = json.loads(result)["provenance"]["input_digest"]
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", ["series", "surface", "config"])
+def test_input_that_is_not_utf8_is_an_input_error(kind, measure_file, tmp_path, capsys):
+    bad = tmp_path / f"{kind}.txt"
+    argv = ["analyze", "--input", str(bad)]
+    if kind == "series":
+        bad.write_bytes(b"1.0\n2.0\xe9\n3.0\n")
+    elif kind == "surface":
+        bad.write_bytes(b"1.0,2.0\n2.0,\xe9\n3.0,1.0\n")
+        argv += ["--mode", "surface"]
+    else:
+        bad.write_bytes(b'{"theta": 0.0, "x\xe9": 1}')
+        argv = ["analyze", "--input", str(measure_file), "--config", str(bad)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and err.count("\n") == 1
+    if kind != "config":
+        assert "line 2: not UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "command, doc, code",
+    [
+        pytest.param("analyze", {"theta": "a"}, 2, id="float-given-string"),
+        pytest.param("analyze", {"n_count": 4.5}, 2, id="optional-int-given-float"),
+        pytest.param("surrogate", {"seed": "x"}, 2, id="int-given-string"),
+        pytest.param("analyze", {"legendre_half_window": 2.5}, 2, id="int-given-float"),
+        pytest.param("analyze", {"theta": 0}, 0, id="float-given-int"),
+    ],
+)
+def test_config_values_must_have_their_declared_type(
+    command, doc, code, measure_file, tmp_path, capsys
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    argv = [command, "--input", str(measure_file), "--config", str(cfg)] + GRID
+    assert main(argv) == code
+    if code:
+        key = next(iter(doc))
+        assert capsys.readouterr().err.startswith(f"error: config key {key} must be ")
 
 
 def test_oracle_stdout_and_file(tmp_path, capsys):

@@ -298,6 +298,13 @@ def test_emit_json_round_trip(measure_file, tmp_path):
     assert read_bundle(path) == bundle
 
 
+def test_read_bundle_rejects_a_document_that_is_not_utf8(tmp_path):
+    path = tmp_path / "result.json"
+    path.write_bytes(b'{"schema": "mfdma.result/1\xe9"}')
+    with pytest.raises(InputFormatError, match="not valid JSON"):
+        read_bundle(path)
+
+
 def test_emit_csv_set_contract(measure_file, tmp_path):
     bundle = run_pipeline(_quick_cfg(measure_file))
     written = emit_results(bundle, tmp_path, "csv-set")
