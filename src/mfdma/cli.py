@@ -129,8 +129,9 @@ def _ingest(args, **overrides):
     cfg = AnalysisConfig.from_sources(options, config_file=args.config)
     if cfg.input_path is None:
         raise ValidationError(f"{args.command} needs --input")
-    if getattr(args, "analytic_weights", None) is not None and cfg.mode != "surface":
-        raise ValidationError("--analytic-weights implies --mode surface")
+    for flag, mode in (("analytic_p1", "series"), ("analytic_weights", "surface")):
+        if getattr(args, flag, None) is not None and cfg.mode != mode:
+            raise ValidationError(f"--{flag.replace('_', '-')} implies --mode {mode}")
     return (cfg, *ingest_input(cfg))
 
 

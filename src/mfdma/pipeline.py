@@ -169,52 +169,56 @@ def _bad_token(path, line_no: int, tokens) -> InputFormatError:
         return _line_error(path, line_no, f"{problem} {token.strip()!r}")
 
 
-def _undecodable_line(path) -> InputFormatError:
-    """The error naming the first line of a file that is not UTF-8."""
-    for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
-        try:
-            raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return _line_error(path, line_no, f"not UTF-8 text (byte {raw[exc.start]:#04x})")
-    return InputFormatError(f"{path}: not UTF-8 text", path=str(path))
-
-
 def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     """Float rows from the non-blank lines of a comma-delimited text file.
 
     ``columns(tokens, path, line_no)`` applies the caller's column rule to
     one line's comma-split tokens and returns the tokens to convert.  Every
     row must convert to finite floats and be as wide as the first one; the
-    first line that breaks a rule is named.  With ``header``, a line 1 that
-    is not a number is skipped.
+    first line that breaks a rule, or is not UTF-8, is named.  With
+    ``header``, a line 1 that is not a number is skipped.
     """
-    rows = []
     try:
         with open(path, encoding="utf-8-sig") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line:
-                    continue
-                tokens = columns(line.split(","), path, line_no)
-                try:
-                    row = list(map(float, tokens))
-                except ValueError:
-                    if header and line_no == 1:
-                        continue
-                    raise _bad_token(path, line_no, tokens) from None
-                if not all(map(math.isfinite, row)):
-                    raise _bad_token(path, line_no, tokens)
-                if rows and len(row) != len(rows[0]):
-                    raise _line_error(
-                        path, line_no,
-                        f"ragged row, got {len(row)} values, expected {len(rows[0])}",
-                    )
-                rows.append(row)
-    except UnicodeDecodeError:
-        raise _undecodable_line(path) from None
+            rows = _parse_rows(handle, path, columns, header)
+    except UnicodeDecodeError:  # the text is decoded in chunks: name the first bad line
+        for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:  # a rule broken on an earlier line comes first
+                with open(path, encoding="utf-8-sig", errors="replace") as handle:
+                    _parse_rows(handle.readlines()[: line_no - 1], path, columns, header)
+                problem = f"not UTF-8 text (byte {raw[exc.start]:#04x})"
+                raise _line_error(path, line_no, problem) from None
+        raise InputFormatError(f"{path}: not UTF-8 text", path=str(path)) from None
     if not rows:
         raise InputFormatError(f"{path}: no data rows", path=str(path))
     return np.array(rows)
+
+
+def _parse_rows(lines, path, columns, header: bool) -> list:
+    """The float rows of numbered ``lines`` under the rules of :func:`_read_rows`."""
+    rows = []
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        tokens = columns(line.split(","), path, line_no)
+        try:
+            row = list(map(float, tokens))
+        except ValueError:
+            if header and line_no == 1:
+                continue
+            raise _bad_token(path, line_no, tokens) from None
+        if not all(map(math.isfinite, row)):
+            raise _bad_token(path, line_no, tokens)
+        if rows and len(row) != len(rows[0]):
+            raise _line_error(
+                path, line_no,
+                f"ragged row, got {len(row)} values, expected {len(rows[0])}",
+            )
+        rows.append(row)
+    return rows
 
 
 def _single_column(tokens, path, line_no):

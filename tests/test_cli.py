@@ -125,6 +125,24 @@ def test_compare_requires_analytic_reference(measure_file, capsys):
     assert "analytic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "mode, flag, value",
+    [("surface", "--analytic-p1", "0.3"), ("series", "--analytic-weights", "0.1,0.2,0.3,0.4")],
+)
+def test_compare_reference_must_fit_the_mode(mode, flag, value, tmp_path, capsys):
+    # a 1-d tau(q) cannot score a surface, nor a 2-d one a series
+    from mfdma import CascadeSpec2D, cascade_measure_2d, write_surface_csv
+
+    path = tmp_path / "surface.csv"
+    write_surface_csv(cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), 6)), path)
+    out_dir = tmp_path / "out"
+    argv = ["compare", "--mode", mode, "--input", str(path), "--out-dir", str(out_dir)]
+    assert main(argv + [flag, value]) == 2
+    implied = "series" if mode == "surface" else "surface"
+    assert capsys.readouterr().err == f"error: {flag} implies --mode {implied}\n"
+    assert not out_dir.exists()
+
+
 def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
     # on the reference cascade the accuracy order is backward, forward,
     # polynomial baseline, centered

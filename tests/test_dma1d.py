@@ -1,16 +1,20 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from mfdma import (
+    CascadeSpec1D,
     DegenerateSegmentError,
     DetrendConfig,
     Series,
     ValidationError,
+    binomial_measure_1d,
     build_q_grid,
     build_scale_grid,
     fit_scaling,
+    gaussian_noise,
     mfdfa_fluctuations_1d,
     mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
@@ -23,7 +27,7 @@ from mfdma import (
 )
 from mfdma import dma1d
 from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
-from reference import scalar_power_mean
+from reference import exact_window_mean, scalar_power_mean, window_mean
 
 
 # ---------------------------------------------------------------- profile
@@ -88,6 +92,79 @@ def test_moving_average_constant_invariance():
 def test_moving_average_rejects_window_beyond_series():
     with pytest.raises(ValidationError):
         moving_average(np.arange(5.0), DetrendConfig(6, 0.0))
+
+
+@pytest.fixture(scope="module")
+def noise_k14():
+    return gaussian_noise(2**14, seed=11)
+
+
+# Per-segment F_v of the O(N) moving average against the sliding-window
+# oracle.  On the k=14 binomial a naive global prefix sum errs by up to
+# 9.5e-9, the block-local sums by under 3e-11.
+ORACLE_RTOL = 1e-9
+
+
+def _oracle_fv(monkeypatch, y, n, theta, mean=window_mean):
+    """Per-segment F_v at scale n, from moving_average and from ``mean``."""
+    cfg = DetrendConfig(n, theta)
+    fast = segment_rms(residual_series(y, cfg), n).values
+    with monkeypatch.context() as patch:
+        patch.setattr(dma1d, "moving_average", lambda values, c: mean(values, c.n))
+        slow = segment_rms(residual_series(y, cfg), n).values
+    return fast, slow
+
+
+@pytest.mark.parametrize(
+    "data, scales, theta",
+    [
+        ("binomial_k14", build_scale_grid(10, 1000, 30).values.tolist(), 0.0),
+        ("binomial_k14", build_scale_grid(10, 1000, 30).values.tolist(), 0.5),
+        ("binomial_k14", build_scale_grid(10, 1000, 30).values.tolist(), 1.0),
+        ("noise_k14", build_scale_grid(10, 4096, 30).values.tolist(), 0.0),  # up to N/4
+        ("noise_k14", [2, 3, 999, 5461, 8192], 0.5),  # n = 2; N % n != 0
+    ],
+    ids=["binomial-theta0", "binomial-theta0.5", "binomial-theta1", "noise-n-to-N/4", "edges"],
+)
+def test_moving_average_matches_the_sliding_window_oracle(
+    request, monkeypatch, data, scales, theta
+):
+    y = profile(request.getfixturevalue(data))
+    for n in scales:
+        fast, slow = _oracle_fv(monkeypatch, y, n, theta)
+        np.testing.assert_allclose(fast, slow, rtol=ORACLE_RTOL, atol=0, err_msg=f"n={n}")
+
+
+def test_moving_average_window_of_the_whole_series(rng):
+    y = profile(rng.standard_normal(1001))
+    for theta in (0.0, 0.5, 1.0):
+        means = moving_average(y, DetrendConfig(y.size, theta))
+        assert means.shape == (1,)
+        np.testing.assert_allclose(means, window_mean(y, y.size), rtol=ORACLE_RTOL, atol=0)
+
+
+def test_moving_average_is_exact_on_an_integer_profile(rng):
+    # every partial sum of an integer profile is exact, so is every mean
+    y = profile(rng.integers(-1000, 1001, 5003).astype(float))
+    for n in (2, 3, 7, 64, 1000, 2501, 5003):
+        assert moving_average(y, DetrendConfig(n)).tobytes() == window_mean(y, n).tobytes()
+
+
+def test_moving_average_tracks_the_exact_window_mean(monkeypatch):
+    y = profile(binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=12)))
+    for n in build_scale_grid(10, 1000, 30).values.tolist():
+        fast, exact = _oracle_fv(monkeypatch, y, n, 0.0, mean=exact_window_mean)
+        np.testing.assert_allclose(fast, exact, rtol=ORACLE_RTOL, atol=0, err_msg=f"n={n}")
+
+
+def test_scales_up_to_a_quarter_of_the_series_take_linear_time():
+    # the sliding mean did O(N * n) work per scale: minutes at this size
+    noise = gaussian_noise(2**19, seed=7)
+    scales = build_scale_grid(10, 2**17, 30)
+    start = time.perf_counter()
+    table = mfdma_fluctuations_1d(noise, scales, [2.0])
+    assert time.perf_counter() - start < 10.0
+    assert np.all(table.values > 0)
 
 
 # ------------------------------------------------------------ residuals

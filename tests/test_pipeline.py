@@ -128,6 +128,15 @@ INGEST_CORPUS = {
     "earlier-line-wins-series": ("series", "1\nx\ny\n", _fails(2, "line 2: not a number: 'x'")),
     "earlier-line-wins-surface": ("surface", "1,2\n3\nx,1\n", _fails(
         2, "line 2: ragged row, got 1 values, expected 2")),
+    # bytes: the file is written as is, so it need not be UTF-8
+    "bad-row-before-non-utf8-line": ("series", b"1\n2\nwat\n4\n\xe9\n", _fails(
+        3, "line 3: not a number: 'wat'")),
+    "bad-row-before-non-utf8-line-crlf-bom": (
+        "surface", b"\xef\xbb\xbf1,2\r\n3,4\r5,6,7\r\n\xe9\r\n",
+        _fails(3, "line 3: ragged row, got 3 values, expected 2"),
+    ),
+    "non-utf8-line-before-bad-row": ("series", b"ret\n1\n\xe9\nwat\n", _fails(
+        3, "line 3: not UTF-8 text (byte 0xe9)")),
 }
 
 
@@ -135,7 +144,7 @@ INGEST_CORPUS = {
 def test_ingest_corpus(case, tmp_path):
     kind, text, expected = INGEST_CORPUS[case]
     path = tmp_path / "in.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     ingest = ingest_series if kind == "series" else ingest_surface
     if isinstance(expected, list):
         values = ingest(path).values
