@@ -8,130 +8,22 @@ with exact analytic spectra, shuffle surrogates, and a CLI round out the
 toolkit.
 """
 
+from . import dma1d, dma2d, exceptions, generators, pipeline, spectrum
 from ._version import __version__
-from .exceptions import (
-    DegenerateDataError,
-    DegenerateSegmentError,
-    InputFormatError,
-    MfdmaError,
-    ValidationError,
-)
-from .generators import (
-    CascadeSpec1D,
-    CascadeSpec2D,
-    Series,
-    Surface,
-    binomial_measure_1d,
-    cascade_measure_2d,
-    gaussian_noise,
-    shuffle_surrogate,
-)
-from .dma1d import (
-    DetrendConfig,
-    SegmentFluctuations,
-    mfdfa_fluctuations_1d,
-    mfdma_fluctuations_1d,
-    moving_average,
-    overall_fluctuation,
-    profile,
-    residual_series,
-    segment_rms,
-)
-from .dma2d import (
-    DetrendConfig2D,
-    WindowAggregates2D,
-    mfdfa_fluctuations_2d,
-    mfdma_fluctuations_2d,
-    residual_matrix_2d,
-    segment_rms_2d,
-    window_aggregates,
-)
-from .spectrum import (
-    FluctuationTable,
-    QGrid,
-    ScaleGrid,
-    ScalingEstimate,
-    SingularitySpectrum,
-    analytic_alpha_1d,
-    analytic_alpha_2d,
-    analytic_f_1d,
-    analytic_f_2d,
-    analytic_tau_1d,
-    analytic_tau_2d,
-    build_q_grid,
-    build_scale_grid,
-    fit_scaling,
-    legendre_spectrum,
-    spectrum_width,
-    tau_error,
-)
-from .pipeline import (
-    AnalysisConfig,
-    ResultBundle,
-    emit_results,
-    ingest_series,
-    ingest_surface,
-    read_bundle,
-    run_pipeline,
-    write_series_csv,
-    write_surface_csv,
-)
+from .dma1d import *  # noqa: F401,F403
+from .dma2d import *  # noqa: F401,F403
+from .exceptions import *  # noqa: F401,F403
+from .generators import *  # noqa: F401,F403
+from .pipeline import *  # noqa: F401,F403
+from .spectrum import *  # noqa: F401,F403
 
+# each submodule's __all__ is the one list of its public names
 __all__ = [
     "__version__",
-    "MfdmaError",
-    "ValidationError",
-    "DegenerateDataError",
-    "DegenerateSegmentError",
-    "InputFormatError",
-    "Series",
-    "Surface",
-    "CascadeSpec1D",
-    "CascadeSpec2D",
-    "binomial_measure_1d",
-    "cascade_measure_2d",
-    "gaussian_noise",
-    "shuffle_surrogate",
-    "DetrendConfig",
-    "SegmentFluctuations",
-    "profile",
-    "moving_average",
-    "residual_series",
-    "segment_rms",
-    "overall_fluctuation",
-    "mfdma_fluctuations_1d",
-    "mfdfa_fluctuations_1d",
-    "DetrendConfig2D",
-    "WindowAggregates2D",
-    "window_aggregates",
-    "residual_matrix_2d",
-    "segment_rms_2d",
-    "mfdma_fluctuations_2d",
-    "mfdfa_fluctuations_2d",
-    "ScaleGrid",
-    "QGrid",
-    "FluctuationTable",
-    "ScalingEstimate",
-    "SingularitySpectrum",
-    "build_scale_grid",
-    "build_q_grid",
-    "fit_scaling",
-    "legendre_spectrum",
-    "analytic_tau_1d",
-    "analytic_alpha_1d",
-    "analytic_f_1d",
-    "analytic_tau_2d",
-    "analytic_alpha_2d",
-    "analytic_f_2d",
-    "tau_error",
-    "spectrum_width",
-    "AnalysisConfig",
-    "ResultBundle",
-    "run_pipeline",
-    "ingest_series",
-    "ingest_surface",
-    "emit_results",
-    "read_bundle",
-    "write_series_csv",
-    "write_surface_csv",
+    *exceptions.__all__,
+    *generators.__all__,
+    *dma1d.__all__,
+    *dma2d.__all__,
+    *spectrum.__all__,
+    *pipeline.__all__,
 ]

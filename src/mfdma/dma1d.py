@@ -55,11 +55,6 @@ class DetrendConfig:
         """Number of future samples in the window, floor((n - 1) * theta)."""
         return math.floor((self.n - 1) * self.theta)
 
-    @property
-    def past_points(self) -> int:
-        """Number of past samples in the window, ceil((n - 1) * (1 - theta))."""
-        return math.ceil((self.n - 1) * (1.0 - self.theta))
-
 
 @dataclass(frozen=True)
 class SegmentFluctuations:
@@ -75,9 +70,6 @@ class SegmentFluctuations:
         if np.any(v < 0):
             raise ValidationError("segment RMS values cannot be negative")
         object.__setattr__(self, "values", v)
-
-    def __len__(self):
-        return self.values.size
 
 
 def _compensated_cumsum(x: np.ndarray, block: int = 1024) -> np.ndarray:
@@ -127,9 +119,9 @@ def profile(series) -> np.ndarray:
 def moving_average(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarray:
     """Moving average of the profile inside the theta-positioned window.
 
-    The window at position t covers cfg.past_points samples behind t, t
-    itself, and cfg.future_points ahead, always n points in total.  The
-    returned array holds the average for each t in the defined domain
+    The window at position t covers ceil((n-1)*(1-theta)) samples behind
+    t, t itself, and cfg.future_points ahead, always n points in total.
+    The returned array holds the average for each t in the defined domain
     [n - floor((n-1)*theta), N - floor((n-1)*theta)] (1-based), which has
     length N - n + 1 for every theta.  O(N) per scale: each window is a
     suffix of one length-n block plus a prefix of the next, both read off

@@ -4,6 +4,14 @@ The CLI maps these onto exit codes: ValidationError -> 2,
 DegenerateDataError -> 3, InputFormatError and OSError -> 4.
 """
 
+__all__ = [
+    "MfdmaError",
+    "ValidationError",
+    "DegenerateDataError",
+    "DegenerateSegmentError",
+    "InputFormatError",
+]
+
 
 class MfdmaError(Exception):
     """Base class for all errors raised by this package."""

@@ -171,19 +171,12 @@ def gaussian_noise(length: int, seed: int) -> Series:
     return Series(rng.standard_normal(length), name=f"gaussian(length={length}, seed={seed})")
 
 
-def shuffle_surrogate(series, seed: int):
-    """Return a uniformly random permutation of the input values.
+def shuffle_surrogate(series: Series, seed: int) -> Series:
+    """Return a uniformly random permutation of the series' values.
 
     The permutation is a seeded Fisher-Yates shuffle, so the multiset of
-    values is preserved exactly and the draw is reproducible.  Accepts a
-    :class:`Series` or a plain array and returns the same kind.
+    values is preserved exactly and the draw is reproducible.
     """
-    rng = np.random.default_rng(seed)
-    if isinstance(series, Series):
-        shuffled = rng.permutation(series.values)
-        tag = f"{series.name} [shuffled seed={seed}]" if series.name else None
-        return Series(shuffled, name=tag)
-    values = np.asarray(series, dtype=float)
-    if values.ndim != 1 or values.size == 0:
-        raise ValidationError("surrogate input must be a non-empty one-dimensional array")
-    return rng.permutation(values)
+    shuffled = np.random.default_rng(seed).permutation(series.values)
+    tag = f"{series.name} [shuffled seed={seed}]" if series.name else None
+    return Series(shuffled, name=tag)

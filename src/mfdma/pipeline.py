@@ -28,6 +28,8 @@ from .spectrum import (
     ScaleGrid,
     ScalingEstimate,
     SingularitySpectrum,
+    _check_legendre_window,
+    _fit_mask,
     build_q_grid,
     build_scale_grid,
     fit_scaling,
@@ -46,7 +48,6 @@ __all__ = [
     "analyze",
     "run_pipeline",
     "emit_results",
-    "read_bundle",
 ]
 
 MODES = ("series", "surface")
@@ -146,11 +147,6 @@ class ResultBundle:
     estimate: ScalingEstimate
     spectrum: SingularitySpectrum
     provenance: dict
-
-    def __eq__(self, other):
-        if not isinstance(other, ResultBundle):
-            return NotImplemented
-        return _bundle_to_dict(self) == _bundle_to_dict(other)
 
 
 def _line_error(path, line_no: int, problem: str) -> InputFormatError:
@@ -280,7 +276,11 @@ def _sha256_file(path) -> str:
     return digest.hexdigest()
 
 
-def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, dict]:
+def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, tuple, dict]:
+    """Scale grid, q grid, fit range and resolved scale options of ``cfg``.
+
+    Every grid rule is checked here, before any estimator runs.
+    """
     if cfg.mode == "series":
         limit = data_shape[0] // 4
         n_min = 10 if cfg.n_min is None else cfg.n_min
@@ -296,16 +296,22 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, d
             f"n_max = {n_max} exceeds the N/4 cap of {limit} for data shape {data_shape}"
         )
     scales = build_scale_grid(n_min, n_max, n_count)
+    fit_range = (
+        float(scales.values[0]) if cfg.fit_lo is None else cfg.fit_lo,
+        float(scales.values[-1]) if cfg.fit_hi is None else cfg.fit_hi,
+    )
+    _fit_mask(scales, fit_range)
     qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step)
+    _check_legendre_window(qs, cfg.legendre_half_window)
     resolved = {"n_min": int(n_min), "n_max": int(n_max), "n_count": int(n_count)}
-    return scales, qs, resolved
+    return scales, qs, fit_range, resolved
 
 
 def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
     """Analyze ingested or in-memory data under an already validated config."""
     series = cfg.mode == "series"
     shape = (_as_series_values(data) if series else _as_surface_values(data)).shape
-    scales, qs, resolved = _resolve_grids(cfg, shape)
+    scales, qs, fit_range, resolved = _resolve_grids(cfg, shape)
     if cfg.method == "mfdma":
         estimator = mfdma_fluctuations_1d if series else mfdma_fluctuations_2d
         table = estimator(data, scales, qs, cfg.theta)
@@ -313,12 +319,6 @@ def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
         table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
     else:
         table = mfdfa_fluctuations_2d(data, scales, qs)
-    fit_range = None
-    if cfg.fit_lo is not None or cfg.fit_hi is not None:
-        fit_range = (
-            cfg.fit_lo if cfg.fit_lo is not None else float(scales.values[0]),
-            cfg.fit_hi if cfg.fit_hi is not None else float(scales.values[-1]),
-        )
     estimate = fit_scaling(table, fit_range, 1.0 if series else 2.0)
     spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
     effective = asdict(cfg)
@@ -389,42 +389,6 @@ def _bundle_to_dict(bundle: ResultBundle) -> dict:
             "width": bundle.spectrum.width,
         },
     }
-
-
-def _bundle_from_dict(doc: dict) -> ResultBundle:
-    try:
-        fl = doc["fluctuations"]
-        sc = doc["scaling"]
-        sp = doc["spectrum"]
-        table = FluctuationTable(
-            ScaleGrid(np.array(fl["scales"])),
-            QGrid(np.array(fl["qs"])),
-            np.array(fl["values"]),
-        )
-        estimate = ScalingEstimate(
-            QGrid(np.array(sc["qs"])),
-            np.array(sc["h"]),
-            np.array(sc["h_se"]),
-            np.array(sc["tau"]),
-            float(sc["fractal_dim"]),
-            tuple(sc["fit_range"]),
-        )
-        spectrum = SingularitySpectrum(
-            np.array(sp["qs"]), np.array(sp["alpha"]), np.array(sp["f"]), float(sp["width"])
-        )
-    except KeyError as exc:
-        raise InputFormatError(f"result document is missing key {exc}") from None
-    return ResultBundle(table, estimate, spectrum, doc.get("provenance", {}))
-
-
-def read_bundle(path) -> ResultBundle:
-    """Load a bundle previously emitted as JSON."""
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # not UTF-8, or not JSON
-        raise InputFormatError(f"{path} is not valid JSON: {exc}", path=str(path))
-    return _bundle_from_dict(doc)
 
 
 def json_text(doc) -> str:

@@ -63,9 +63,6 @@ class ScaleGrid:
     def __len__(self):
         return self.values.size
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 @dataclass(frozen=True)
 class QGrid:
@@ -85,9 +82,6 @@ class QGrid:
 
     def __len__(self):
         return self.values.size
-
-    def __iter__(self):
-        return iter(self.values)
 
     @property
     def spacing(self) -> float:
@@ -202,6 +196,27 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return slope, intercept, se
 
 
+def _fit_mask(scales: ScaleGrid, fit_range) -> np.ndarray:
+    """The scales inside ``fit_range``, inclusive; at least 3 must fall inside."""
+    lo, hi = float(fit_range[0]), float(fit_range[1])
+    mask = (scales.values >= lo) & (scales.values <= hi)
+    if int(mask.sum()) < 3:
+        raise ValidationError(
+            f"fit range ({lo:g}, {hi:g}) selects {int(mask.sum())} scales, need at least 3"
+        )
+    return mask
+
+
+def _check_legendre_window(qs: QGrid, half_window: int):
+    """The local tau(q) slope needs 2 * half_window + 1 points of the q grid."""
+    if half_window < 1:
+        raise ValidationError(f"half_window must be at least 1, got {half_window}")
+    if len(qs) < 2 * half_window + 1:
+        raise ValidationError(
+            f"need at least {2 * half_window + 1} q points for half_window={half_window}"
+        )
+
+
 def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.0) -> ScalingEstimate:
     """Fit ln F_q(n) against ln n per q and derive the mass exponents.
 
@@ -220,11 +235,7 @@ def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.
     if fit_range is None:
         fit_range = (float(ns[0]), float(ns[-1]))
     lo, hi = float(fit_range[0]), float(fit_range[1])
-    mask = (ns >= lo) & (ns <= hi)
-    if int(mask.sum()) < 3:
-        raise ValidationError(
-            f"fit range ({lo:g}, {hi:g}) selects {int(mask.sum())} scales, need at least 3"
-        )
+    mask = _fit_mask(table.scales, (lo, hi))
     sub = table.values[mask, :]
     if np.any(sub <= 0):
         bad = np.argwhere(sub <= 0)[0]
@@ -250,13 +261,8 @@ def legendre_spectrum(est: ScalingEstimate, half_window: int = 3) -> Singularity
     the 2 * half_window + 1 surrounding (q, tau) points; f = q * alpha - tau
     at the same points.  Requires a uniformly spaced q grid.
     """
-    if half_window < 1:
-        raise ValidationError(f"half_window must be at least 1, got {half_window}")
+    _check_legendre_window(est.qs, half_window)
     qs = est.qs.values
-    if qs.size < 2 * half_window + 1:
-        raise ValidationError(
-            f"need at least {2 * half_window + 1} q points for half_window={half_window}"
-        )
     dq = est.qs.spacing  # raises on non-uniform grids
     offsets = np.arange(-half_window, half_window + 1, dtype=float) * dq
     kernel = offsets / float(np.dot(offsets, offsets))

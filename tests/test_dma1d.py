@@ -63,14 +63,6 @@ def test_compensated_cumsum_tracks_fsum():
 
 # ------------------------------------------------------- moving average
 
-def test_window_count_identity():
-    thetas = np.linspace(0.0, 1.0, 11)
-    for n in range(2, 1001):
-        for theta in thetas:
-            cfg = DetrendConfig(n, theta)
-            assert cfg.past_points + cfg.future_points + 1 == n
-
-
 def test_moving_average_arithmetic_progression():
     y = np.array([1.0, 2, 3, 4, 5, 6])
     backward = DetrendConfig(3, 0.0)

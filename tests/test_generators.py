@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mfdma import (
     CascadeSpec1D,
@@ -101,16 +104,23 @@ def test_gaussian_noise_rejects_short_lengths():
         gaussian_noise(8, seed=0)
 
 
+FINITE_SERIES = arrays(
+    np.float64, st.integers(1, 300), elements=st.floats(allow_nan=False, allow_infinity=False)
+).map(Series)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 99])
-def test_shuffle_preserves_multiset(seed, rng):
-    values = rng.standard_normal(257)
-    shuffled = shuffle_surrogate(values, seed=seed)
-    assert shuffled.shape == values.shape
-    assert np.array_equal(np.sort(shuffled), np.sort(values))
+@settings(max_examples=60, deadline=None)
+@given(series=FINITE_SERIES)
+def test_shuffle_preserves_multiset(seed, series):
+    shuffled = shuffle_surrogate(series, seed=seed)
+    assert isinstance(shuffled, Series)
+    assert shuffled.values.shape == series.values.shape
+    assert np.array_equal(np.sort(shuffled.values), np.sort(series.values))
 
 
 def test_shuffle_singleton():
-    assert np.array_equal(shuffle_surrogate(np.array([5.0]), seed=3), [5.0])
+    assert np.array_equal(shuffle_surrogate(Series(np.array([5.0])), seed=3).values, [5.0])
 
 
 def test_shuffle_is_seeded_and_returns_series():

@@ -17,7 +17,7 @@ from mfdma import (
     emit_results,
     ingest_series,
     ingest_surface,
-    read_bundle,
+    pipeline,
     run_pipeline,
     write_series_csv,
     write_surface_csv,
@@ -252,7 +252,6 @@ def _quick_cfg(path, **kw):
 def test_run_pipeline_is_deterministic(measure_file, tmp_path):
     a = run_pipeline(_quick_cfg(measure_file))
     b = run_pipeline(_quick_cfg(measure_file))
-    assert a == b
     emit_results(a, tmp_path / "a", "json")
     emit_results(b, tmp_path / "b", "json")
     assert (tmp_path / "a/result.json").read_bytes() == (tmp_path / "b/result.json").read_bytes()
@@ -290,6 +289,30 @@ def test_run_pipeline_golden_backward_h2(binomial_k14, tmp_path):
     assert h2 == pytest.approx(0.874, abs=0.05)
 
 
+@pytest.mark.parametrize("method", ["mfdma", "mfdfa"])
+@pytest.mark.parametrize("mode", ["series", "surface"])
+@pytest.mark.parametrize("options, message", [
+    ({"q_step": 4.0}, "need at least 7 q points for half_window=3"),
+    ({"fit_lo": 200.0, "fit_hi": 210.0}, r"fit range \(200, 210\) selects 0 scales, need at least 3"),
+], ids=["q-grid", "fit-range"])
+def test_unusable_q_grid_or_fit_range_fails_before_any_estimator(
+    options, message, mode, method, measure_file, tmp_path, monkeypatch
+):
+    def estimator(*args, **kwargs):
+        raise AssertionError("an estimator ran before the grids were checked")
+
+    for name in ("mfdma_fluctuations_1d", "mfdfa_fluctuations_1d",
+                 "mfdma_fluctuations_2d", "mfdfa_fluctuations_2d"):
+        monkeypatch.setattr(pipeline, name, estimator)
+    path = measure_file
+    if mode == "surface":
+        path = tmp_path / "surf.csv"
+        write_surface_csv(cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), levels=6)), path)
+    n_max = 16 if mode == "surface" else 256
+    with pytest.raises(ValidationError, match=message):
+        run_pipeline(_quick_cfg(path, mode=mode, method=method, n_max=n_max, **options))
+
+
 def test_degenerate_input_raises_degenerate_error(tmp_path):
     path = tmp_path / "zeros.csv"
     path.write_text("0.0\n" * 256)
@@ -301,17 +324,41 @@ def test_degenerate_input_raises_degenerate_error(tmp_path):
 
 # ------------------------------------------------------------------- emit
 
+def _assert_json_holds(path, bundle):
+    """result.json holds every array of ``bundle`` bit for bit: floats round-trip."""
+    doc = json.loads(path.read_text())
+    est, spec = bundle.estimate, bundle.spectrum
+    expected = {
+        "fluctuations": {
+            "scales": bundle.table.scales.values,
+            "qs": bundle.table.qs.values,
+            "values": bundle.table.values,
+        },
+        "scaling": {
+            "qs": est.qs.values,
+            "h": est.h,
+            "h_se": est.h_se,
+            "tau": est.tau,
+            "tau_se": np.abs(est.qs.values) * est.h_se,
+            "fractal_dim": est.fractal_dim,
+            "fit_range": est.fit_range,
+        },
+        "spectrum": {"qs": spec.qs, "alpha": spec.alpha, "f": spec.f, "width": spec.width},
+    }
+    assert doc["schema"] == "mfdma.result/1"
+    assert doc["provenance"] == bundle.provenance
+    for block, arrays in expected.items():
+        assert set(doc[block]) == set(arrays)
+        for key, value in arrays.items():
+            got = np.asarray(doc[block][key], dtype=float)
+            assert got.shape == np.shape(value), (block, key)
+            assert got.tobytes() == np.asarray(value, dtype=float).tobytes(), (block, key)
+
+
 def test_emit_json_round_trip(measure_file, tmp_path):
     bundle = run_pipeline(_quick_cfg(measure_file))
     (path,) = emit_results(bundle, tmp_path, "json")
-    assert read_bundle(path) == bundle
-
-
-def test_read_bundle_rejects_a_document_that_is_not_utf8(tmp_path):
-    path = tmp_path / "result.json"
-    path.write_bytes(b'{"schema": "mfdma.result/1\xe9"}')
-    with pytest.raises(InputFormatError, match="not valid JSON"):
-        read_bundle(path)
+    _assert_json_holds(path, bundle)
 
 
 def test_emit_csv_set_contract(measure_file, tmp_path):
@@ -381,4 +428,4 @@ def test_surface_pipeline_round_trip(tmp_path):
     assert bundle.spectrum.width >= 0
     assert np.all(bundle.spectrum.f <= 2.0 + 1e-9)
     (json_path,) = emit_results(bundle, tmp_path / "out", "json")
-    assert read_bundle(json_path) == bundle
+    _assert_json_holds(json_path, bundle)
