@@ -44,16 +44,8 @@ from .pipeline import (
     write_series_csv,
     write_surface_csv,
 )
-from .spectrum import (
-    analytic_alpha_1d,
-    analytic_alpha_2d,
-    analytic_f_1d,
-    analytic_f_2d,
-    analytic_tau_1d,
-    analytic_tau_2d,
-    build_q_grid,
-    tau_error,
-)
+from .spectrum import _binomial_weights, analytic_alpha, analytic_f, analytic_tau
+from .spectrum import build_q_grid, tau_error
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -93,6 +85,11 @@ def _parse_weights(text: str):
     if len(weights) != 4:
         raise ValidationError(f"expected four comma-separated weights, got {len(weights)}")
     return weights
+
+
+def _cascade_weights(p1, weights_text):
+    """The weights of the cascade named by a p1 (binomial) or a weights option (square)."""
+    return _parse_weights(weights_text) if p1 is None else _binomial_weights(p1)
 
 
 def _add_analysis_options(parser: argparse.ArgumentParser):
@@ -217,10 +214,7 @@ def cmd_compare(args) -> int:
     }
 
     qs = bundles["mfdma_theta0"].estimate.qs.values
-    if args.analytic_p1 is not None:
-        tau_ref = np.asarray(analytic_tau_1d(args.analytic_p1, qs))
-    else:
-        tau_ref = np.asarray(analytic_tau_2d(_parse_weights(args.analytic_weights), qs))
+    tau_ref = analytic_tau(_cascade_weights(args.analytic_p1, args.analytic_weights), qs)
 
     dtaus = {label: tau_error(b.estimate, tau_ref) for label, b in bundles.items()}
     sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}
@@ -254,16 +248,11 @@ def cmd_oracle(args) -> int:
     grid = {k: DEFAULTS[k] if getattr(args, k) is None else getattr(args, k)
             for k in ("q_min", "q_max", "q_step")}
     qs = build_q_grid(**grid).values
-    if args.p1 is not None:
-        tau = np.asarray(analytic_tau_1d(args.p1, qs))
-        alpha = np.asarray(analytic_alpha_1d(args.p1, qs))
-        f = np.asarray(analytic_f_1d(args.p1, qs))
-    else:
-        weights = _parse_weights(args.weights)
-        tau = np.asarray(analytic_tau_2d(weights, qs))
-        alpha = np.asarray(analytic_alpha_2d(weights, qs))
-        f = np.asarray(analytic_f_2d(weights, qs))
-    text = csv_table(["q", "tau", "alpha", "f"], [qs, tau, alpha, f])
+    weights = _cascade_weights(args.p1, args.weights)
+    text = csv_table(
+        ["q", "tau", "alpha", "f"],
+        [qs] + [oracle(weights, qs) for oracle in (analytic_tau, analytic_alpha, analytic_f)],
+    )
     if args.out:
         Path(args.out).write_text(text)
         print(f"wrote {args.out}")

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DegenerateSegmentError, ValidationError
-from .generators import Series
+from .generators import Series, Surface
 from .spectrum import FluctuationTable, as_q_grid, as_scale_grid
 
 __all__ = [
@@ -95,14 +95,14 @@ def _compensated_cumsum(x: np.ndarray, block: int = 1024) -> np.ndarray:
     return out
 
 
-def _as_series_values(series, min_length: int = 4) -> np.ndarray:
-    if isinstance(series, Series):
-        values = series.values
-    else:
-        values = Series(np.asarray(series, dtype=float)).values
-    if values.size < min_length:
+def _as_values(data, ndim: int, min_side: int = 4) -> np.ndarray:
+    """The values of ``data`` as a Series (ndim 1) or a Surface (ndim 2), each side >= min_side."""
+    kind = (Series, Surface)[ndim - 1]
+    values = (data if isinstance(data, kind) else kind(data)).values
+    if min(values.shape) < min_side:
         raise ValidationError(
-            f"series has {values.size} points, analysis needs at least {min_length}"
+            f"{kind.__name__.lower()} of shape {values.shape} is too small, "
+            f"analysis needs at least {min_side} points along every axis"
         )
     return values
 
@@ -113,7 +113,7 @@ def profile(series) -> np.ndarray:
     Accumulation is block-compensated so that profiles of long series with
     values spanning many orders of magnitude stay accurate.
     """
-    return _compensated_cumsum(_as_series_values(series, min_length=1))
+    return _compensated_cumsum(_as_values(series, 1, min_side=1))
 
 
 def moving_average(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarray:
@@ -149,14 +149,20 @@ def residual_series(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarra
 
 
 def segment_rms(residuals: np.ndarray, n: int) -> SegmentFluctuations:
-    """RMS over disjoint length-n blocks of the residuals; remainder dropped."""
+    """RMS over disjoint blocks of side n of a residual series or matrix.
+
+    Each axis is cut into ``side // n`` whole blocks and the remainder is
+    dropped; a matrix's blocks are listed in row-major order.
+    """
     eps = np.asarray(residuals, dtype=float)
     n = int(n)
-    if n < 1 or n > eps.size:
-        raise ValidationError(f"segment size {n} invalid for {eps.size} residuals")
-    count = eps.size // n
-    blocks = eps[: count * n].reshape(count, n)
-    return SegmentFluctuations(np.sqrt(np.mean(blocks**2, axis=1)), scale=n)
+    if n < 1 or n > min(eps.shape, default=0):
+        raise ValidationError(f"block side {n} invalid for residual shape {eps.shape}")
+    counts = [side // n for side in eps.shape]
+    whole = eps[tuple(slice(c * n) for c in counts)]
+    blocks = whole.reshape([d for c in counts for d in (c, n)])  # axes (c1, n, c2, n, ...)
+    rms = np.sqrt(np.mean(blocks**2, axis=tuple(range(1, blocks.ndim, 2))))
+    return SegmentFluctuations(rms.ravel(), scale=n)
 
 
 def _power_mean(values: np.ndarray, qs, scale) -> np.ndarray:
@@ -200,12 +206,14 @@ def overall_fluctuation(segments: SegmentFluctuations, q: float) -> float:
     return float(_power_mean(segments.values, [q], segments.scale)[0])
 
 
-def _validate_scales(scales, n_points: int):
+def _validate_scales(scales, shape):
+    """The scale grid, whose largest scale may be at most min(shape) // 4."""
     grid = as_scale_grid(scales)
-    cap = n_points // 4
+    cap = min(shape) // 4
     if grid.values[-1] > cap:
         raise ValidationError(
-            f"largest scale {grid.values[-1]} exceeds N/4 = {cap} for N = {n_points}"
+            f"largest scale {grid.values[-1]} exceeds the N/4 cap of {cap} "
+            f"for data shape {shape}"
         )
     return grid
 
@@ -240,8 +248,8 @@ def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> Fluctuation
         DegenerateSegmentError: a zero-RMS segment met a moment q <= 0;
             the error names the scale and q.
     """
-    values = _as_series_values(series)
-    grid = _validate_scales(scales, values.size)
+    values = _as_values(series, 1)
+    grid = _validate_scales(scales, values.shape)
     y = _compensated_cumsum(values)
     return _fluctuation_table(
         grid, qs, lambda n: segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values
@@ -275,8 +283,8 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
     """
     if order < 1:
         raise ValidationError(f"detrending order must be at least 1, got {order}")
-    values = _as_series_values(series)
-    grid = _validate_scales(scales, values.size)
+    values = _as_values(series, 1)
+    grid = _validate_scales(scales, values.shape)
     if grid.values[0] < order + 2:
         raise ValidationError(
             f"smallest scale {grid.values[0]} must be at least order + 2 = {order + 2}"

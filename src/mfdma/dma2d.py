@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .generators import Surface
-from .spectrum import FluctuationTable, as_scale_grid
-from .dma1d import SegmentFluctuations, _fluctuation_table
+from .spectrum import FluctuationTable
+from .dma1d import _as_values, _fluctuation_table, _validate_scales
 from .dma1d import _power_mean  # noqa: F401  (perfbench/tracing.py hooks this name)
+# the one block RMS, under the name the 2-d estimator calls (and perfbench/tracing.py hooks)
+from .dma1d import segment_rms as segment_rms_2d
 
 __all__ = [
     "DetrendConfig2D",
@@ -119,7 +120,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
     weight (n1 - a) * (n2 - b) at offset (a, b) inside the window, which is
     what the rolling passes compute.
     """
-    values = _as_surface_values(surface, min_side=1)
+    values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
     if n1 > values.shape[0] or n2 > values.shape[1]:
         raise ValidationError(
@@ -156,45 +157,6 @@ def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> 
     )
 
 
-def segment_rms_2d(residuals: np.ndarray, n: int) -> SegmentFluctuations:
-    """RMS over disjoint n x n blocks of the residual matrix, row-major.
-
-    Blocks that do not fit along either axis are discarded.
-    """
-    eps = np.asarray(residuals, dtype=float)
-    n = int(n)
-    if eps.ndim != 2:
-        raise ValidationError(f"residuals must be a matrix, got shape {eps.shape}")
-    if n < 1 or n > min(eps.shape):
-        raise ValidationError(f"block {n}x{n} invalid for residual shape {eps.shape}")
-    b1 = eps.shape[0] // n
-    b2 = eps.shape[1] // n
-    blocks = eps[: b1 * n, : b2 * n].reshape(b1, n, b2, n)
-    rms = np.sqrt(np.mean(blocks**2, axis=(1, 3)))
-    return SegmentFluctuations(rms.ravel(), scale=n)
-
-
-def _as_surface_values(surface, min_side: int = 4) -> np.ndarray:
-    values = surface.values if isinstance(surface, Surface) else Surface(surface).values
-    if min(values.shape) < min_side:
-        raise ValidationError(
-            f"surface of shape {values.shape} is too small, "
-            f"analysis needs at least {min_side} rows and columns"
-        )
-    return values
-
-
-def _validate_scales_2d(scales, shape):
-    grid = as_scale_grid(scales)
-    cap = min(shape) // 4
-    if grid.values[-1] > cap:
-        raise ValidationError(
-            f"largest scale {grid.values[-1]} exceeds min(N1, N2)/4 = {cap} "
-            f"for surface shape {shape}"
-        )
-    return grid
-
-
 def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> FluctuationTable:
     """Fluctuation functions of a surface via isotropic sliding windows.
 
@@ -208,8 +170,8 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     Raises:
         DegenerateSegmentError: zero-RMS block met a moment q <= 0.
     """
-    values = _as_surface_values(surface)
-    grid = _validate_scales_2d(scales, values.shape)
+    values = _as_values(surface, 2)
+    grid = _validate_scales(scales, values.shape)
 
     def rms_at(n):
         cfg = DetrendConfig2D(n, n, theta, theta)
@@ -247,8 +209,8 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
     cumulated along both axes, a least-squares plane is removed, and the
     residual RMS values aggregate as usual.
     """
-    values = _as_surface_values(surface)
-    grid = _validate_scales_2d(scales, values.shape)
+    values = _as_values(surface, 2)
+    grid = _validate_scales(scales, values.shape)
 
     def rms_at(n):
         b1, b2 = values.shape[0] // n, values.shape[1] // n

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -18,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dma1d import _as_series_values, mfdfa_fluctuations_1d, mfdma_fluctuations_1d
-from .dma2d import _as_surface_values, mfdfa_fluctuations_2d, mfdma_fluctuations_2d
+from .dma1d import _as_values, _validate_scales, mfdfa_fluctuations_1d, mfdma_fluctuations_1d
+from .dma2d import mfdfa_fluctuations_2d, mfdma_fluctuations_2d
 from .exceptions import InputFormatError, ValidationError
 from .generators import Series, Surface
 from .spectrum import (
@@ -51,6 +52,8 @@ __all__ = [
 ]
 
 MODES = ("series", "surface")
+# per mode: the default (n_min, n_max, n_count); n_max is further capped at N/4
+SCALE_DEFAULTS = {"series": (10, 1000, 30), "surface": (8, math.inf, 15)}
 METHODS = ("mfdma", "mfdfa")
 FORMATS = ("json", "csv-set", "plot-data")
 
@@ -59,9 +62,8 @@ FORMATS = ("json", "csv-set", "plot-data")
 class AnalysisConfig:
     """Full configuration of one analysis run.
 
-    Unset grid fields (None) are resolved against the ingested data:
-    series default to scales (10, min(1000, N//4), 30), surfaces to
-    (8, min(N1, N2)//4, 15).
+    Unset scale fields (None) take the mode's ``SCALE_DEFAULTS``; a default
+    n_max is capped at N/4 of the ingested data.
     """
 
     mode: str = "series"
@@ -165,6 +167,10 @@ def _bad_token(path, line_no: int, tokens) -> InputFormatError:
         return _line_error(path, line_no, f"{problem} {token.strip()!r}")
 
 
+# a byte that is not UTF-8 is read as one of U+DC80..U+DCFF (errors="surrogateescape")
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
 def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     """Float rows from the non-blank lines of a comma-delimited text file.
 
@@ -174,47 +180,33 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     first line that breaks a rule, or is not UTF-8, is named.  With
     ``header``, a line 1 that is not a number is skipped.
     """
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            rows = _parse_rows(handle, path, columns, header)
-    except UnicodeDecodeError:  # the text is decoded in chunks: name the first bad line
-        for line_no, raw in enumerate(Path(path).read_bytes().splitlines(), start=1):
+    rows = []
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if not line.isascii() and (escaped := _ESCAPED_BYTE.search(line)):
+                problem = f"not UTF-8 text (byte {ord(escaped[0]) - 0xDC00:#04x})"
+                raise _line_error(path, line_no, problem)
+            tokens = columns(line.split(","), path, line_no)
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:  # a rule broken on an earlier line comes first
-                with open(path, encoding="utf-8-sig", errors="replace") as handle:
-                    _parse_rows(handle.readlines()[: line_no - 1], path, columns, header)
-                problem = f"not UTF-8 text (byte {raw[exc.start]:#04x})"
-                raise _line_error(path, line_no, problem) from None
-        raise InputFormatError(f"{path}: not UTF-8 text", path=str(path)) from None
+                row = list(map(float, tokens))
+            except ValueError:
+                if header and line_no == 1:
+                    continue
+                raise _bad_token(path, line_no, tokens) from None
+            if not all(map(math.isfinite, row)):
+                raise _bad_token(path, line_no, tokens)
+            if rows and len(row) != len(rows[0]):
+                raise _line_error(
+                    path, line_no,
+                    f"ragged row, got {len(row)} values, expected {len(rows[0])}",
+                )
+            rows.append(row)
     if not rows:
         raise InputFormatError(f"{path}: no data rows", path=str(path))
     return np.array(rows)
-
-
-def _parse_rows(lines, path, columns, header: bool) -> list:
-    """The float rows of numbered ``lines`` under the rules of :func:`_read_rows`."""
-    rows = []
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        tokens = columns(line.split(","), path, line_no)
-        try:
-            row = list(map(float, tokens))
-        except ValueError:
-            if header and line_no == 1:
-                continue
-            raise _bad_token(path, line_no, tokens) from None
-        if not all(map(math.isfinite, row)):
-            raise _bad_token(path, line_no, tokens)
-        if rows and len(row) != len(rows[0]):
-            raise _line_error(
-                path, line_no,
-                f"ragged row, got {len(row)} values, expected {len(rows[0])}",
-            )
-        rows.append(row)
-    return rows
 
 
 def _single_column(tokens, path, line_no):
@@ -281,21 +273,16 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
 
     Every grid rule is checked here, before any estimator runs.
     """
-    if cfg.mode == "series":
-        limit = data_shape[0] // 4
-        n_min = 10 if cfg.n_min is None else cfg.n_min
-        n_max = min(1000, limit) if cfg.n_max is None else cfg.n_max
-        n_count = 30 if cfg.n_count is None else cfg.n_count
-    else:
-        limit = min(data_shape) // 4
-        n_min = 8 if cfg.n_min is None else cfg.n_min
-        n_max = limit if cfg.n_max is None else cfg.n_max
-        n_count = 15 if cfg.n_count is None else cfg.n_count
-    if n_max > limit:
+    default_min, default_max, default_count = SCALE_DEFAULTS[cfg.mode]
+    n_min = default_min if cfg.n_min is None else cfg.n_min
+    n_max = min(default_max, min(data_shape) // 4) if cfg.n_max is None else cfg.n_max
+    n_count = default_count if cfg.n_count is None else cfg.n_count
+    scales = _validate_scales(build_scale_grid(n_min, n_max, n_count), data_shape)
+    if cfg.fit_lo is None and cfg.fit_hi is None and len(scales) < 3:
         raise ValidationError(
-            f"n_max = {n_max} exceeds the N/4 cap of {limit} for data shape {data_shape}"
+            f"scales (n_min, n_max, n_count) = ({n_min}, {n_max}, {n_count}) give "
+            f"{len(scales)} distinct scales, need at least 3"
         )
-    scales = build_scale_grid(n_min, n_max, n_count)
     fit_range = (
         float(scales.values[0]) if cfg.fit_lo is None else cfg.fit_lo,
         float(scales.values[-1]) if cfg.fit_hi is None else cfg.fit_hi,
@@ -310,7 +297,7 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
 def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
     """Analyze ingested or in-memory data under an already validated config."""
     series = cfg.mode == "series"
-    shape = (_as_series_values(data) if series else _as_surface_values(data)).shape
+    shape = _as_values(data, 1 if series else 2).shape
     scales, qs, fit_range, resolved = _resolve_grids(cfg, shape)
     if cfg.method == "mfdma":
         estimator = mfdma_fluctuations_1d if series else mfdma_fluctuations_2d
@@ -319,7 +306,7 @@ def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
         table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
     else:
         table = mfdfa_fluctuations_2d(data, scales, qs)
-    estimate = fit_scaling(table, fit_range, 1.0 if series else 2.0)
+    estimate = fit_scaling(table, fit_range, float(len(shape)))
     spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
     effective = asdict(cfg)
     effective.update(resolved)

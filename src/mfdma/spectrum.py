@@ -25,12 +25,12 @@ __all__ = [
     "build_q_grid",
     "fit_scaling",
     "legendre_spectrum",
+    "analytic_tau",
+    "analytic_alpha",
+    "analytic_f",
     "analytic_tau_1d",
     "analytic_alpha_1d",
     "analytic_f_1d",
-    "analytic_tau_2d",
-    "analytic_alpha_2d",
-    "analytic_f_2d",
     "tau_error",
     "spectrum_width",
 ]
@@ -275,37 +275,10 @@ def legendre_spectrum(est: ScalingEstimate, half_window: int = 3) -> Singularity
     return SingularitySpectrum(q_in, alpha, f, width)
 
 
-def analytic_tau_1d(p1: float, q) -> np.ndarray | float:
-    """Closed-form mass exponent of the binomial cascade."""
-    if not 0.0 < p1 < 1.0:
-        raise ValidationError(f"p1 must lie strictly inside (0, 1), got {p1}")
-    q = np.asarray(q, dtype=float)
-    out = -np.log(p1**q + (1.0 - p1) ** q) / LN2
-    return out if out.ndim else float(out)
-
-
-def analytic_alpha_1d(p1: float, q) -> np.ndarray | float:
-    """Closed-form singularity strength alpha(q) of the binomial cascade."""
-    if not 0.0 < p1 < 1.0:
-        raise ValidationError(f"p1 must lie strictly inside (0, 1), got {p1}")
-    p2 = 1.0 - p1
-    q = np.asarray(q, dtype=float)
-    w1, w2 = p1**q, p2**q
-    out = -(w1 * np.log(p1) + w2 * np.log(p2)) / ((w1 + w2) * LN2)
-    return out if out.ndim else float(out)
-
-
-def analytic_f_1d(p1: float, q) -> np.ndarray | float:
-    """Closed-form spectrum value f(q) = q * alpha(q) - tau(q) of the cascade."""
-    q = np.asarray(q, dtype=float)
-    out = q * analytic_alpha_1d(p1, q) - analytic_tau_1d(p1, q)
-    return out if out.ndim else float(out)
-
-
 def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
-    if w.shape != (4,):
-        raise ValidationError(f"expected four weights, got shape {w.shape}")
+    if w.shape not in ((2,), (4,)):
+        raise ValidationError(f"expected two or four weights, got shape {w.shape}")
     if np.any(w <= 0):
         raise ValidationError("analytic formulas need strictly positive weights")
     if abs(w.sum() - 1.0) > 1e-12:
@@ -313,8 +286,12 @@ def _check_weights(weights) -> np.ndarray:
     return w
 
 
-def analytic_tau_2d(weights, q) -> np.ndarray | float:
-    """Closed-form mass exponent of the four-way square cascade."""
+def analytic_tau(weights, q) -> np.ndarray | float:
+    """Closed-form mass exponent -log2(sum_i w_i^q) of a cascade.
+
+    ``weights`` are the mass fractions of one refinement step: two for the
+    binomial cascade, four for the square cascade.
+    """
     w = _check_weights(weights)
     q = np.asarray(q, dtype=float)
     powers = w[None, :] ** np.atleast_1d(q)[:, None]
@@ -322,8 +299,8 @@ def analytic_tau_2d(weights, q) -> np.ndarray | float:
     return out.reshape(q.shape) if q.ndim else float(out[0])
 
 
-def analytic_alpha_2d(weights, q) -> np.ndarray | float:
-    """Closed-form singularity strength of the four-way square cascade."""
+def analytic_alpha(weights, q) -> np.ndarray | float:
+    """Closed-form singularity strength alpha(q) = tau'(q) of a cascade."""
     w = _check_weights(weights)
     q = np.asarray(q, dtype=float)
     powers = w[None, :] ** np.atleast_1d(q)[:, None]
@@ -331,11 +308,33 @@ def analytic_alpha_2d(weights, q) -> np.ndarray | float:
     return out.reshape(q.shape) if q.ndim else float(out[0])
 
 
-def analytic_f_2d(weights, q) -> np.ndarray | float:
-    """Closed-form f(q) for the four-way square cascade."""
+def analytic_f(weights, q) -> np.ndarray | float:
+    """Closed-form spectrum value f(q) = q * alpha(q) - tau(q) of a cascade."""
     q = np.asarray(q, dtype=float)
-    out = q * analytic_alpha_2d(weights, q) - analytic_tau_2d(weights, q)
+    out = q * analytic_alpha(weights, q) - analytic_tau(weights, q)
     return out if out.ndim else float(out)
+
+
+def _binomial_weights(p1: float) -> tuple[float, float]:
+    """The weights (p1, 1 - p1) of the binomial cascade."""
+    if not 0.0 < p1 < 1.0:
+        raise ValidationError(f"p1 must lie strictly inside (0, 1), got {p1}")
+    return p1, 1.0 - p1
+
+
+def analytic_tau_1d(p1: float, q) -> np.ndarray | float:
+    """Closed-form mass exponent of the binomial cascade."""
+    return analytic_tau(_binomial_weights(p1), q)
+
+
+def analytic_alpha_1d(p1: float, q) -> np.ndarray | float:
+    """Closed-form singularity strength alpha(q) of the binomial cascade."""
+    return analytic_alpha(_binomial_weights(p1), q)
+
+
+def analytic_f_1d(p1: float, q) -> np.ndarray | float:
+    """Closed-form spectrum value f(q) of the binomial cascade."""
+    return analytic_f(_binomial_weights(p1), q)
 
 
 def tau_error(est: ScalingEstimate, tau_analytic) -> np.ndarray:

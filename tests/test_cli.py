@@ -269,6 +269,17 @@ def test_oracle_stdout_and_file(tmp_path, capsys):
     assert out.read_text().startswith("q,tau,alpha,f")
 
 
+@pytest.mark.parametrize("argv, sha256", [
+    (["--p1", "0.3"], "cf3958a754ba96d1fe8e4fb14d19611a2604660c5665c7a59bb383f3add196fb"),
+    (["--weights", "0.1,0.2,0.3,0.4"],
+     "b5a61a6a696029aac4e12621a9327f1dd085b6423565b54fab5279c310fba9b1"),
+], ids=["p1", "weights"])
+def test_oracle_stdout_is_pinned(argv, sha256, capsys):
+    """The binomial and the square cascade share one closed form; its digits are fixed."""
+    assert main(["oracle", *argv]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha256
+
+
 def test_oracle_rejects_ambiguous_reference(capsys):
     assert main(["oracle", "--p1", "0.3", "--weights", "0.25,0.25,0.25,0.25"]) == 2
     assert main(["oracle"]) == 2

@@ -137,6 +137,12 @@ INGEST_CORPUS = {
     ),
     "non-utf8-line-before-bad-row": ("series", b"ret\n1\n\xe9\nwat\n", _fails(
         3, "line 3: not UTF-8 text (byte 0xe9)")),
+    # far past the first chunk the decoder reads
+    "non-utf8-line-3000": ("series", b"1.25\n" * 2999 + b"2\xff5\n1\n", _fails(
+        3000, "line 3000: not UTF-8 text (byte 0xff)")),
+    "non-utf8-header": ("series", b"r\xe9t\n1\n", _fails(1, "line 1: not UTF-8 text (byte 0xe9)")),
+    "utf8-header": ("series", "rét\n0.5\n", [0.5]),
+    "utf8-token": ("series", "1\n½\n", _fails(2, "line 2: not a number: '½'")),
 }
 
 
@@ -294,7 +300,9 @@ def test_run_pipeline_golden_backward_h2(binomial_k14, tmp_path):
 @pytest.mark.parametrize("options, message", [
     ({"q_step": 4.0}, "need at least 7 q points for half_window=3"),
     ({"fit_lo": 200.0, "fit_hi": 210.0}, r"fit range \(200, 210\) selects 0 scales, need at least 3"),
-], ids=["q-grid", "fit-range"])
+    # with the default fit range, the error names the scale-grid options
+    ({"n_count": 2}, r"scales \(n_min, n_max, n_count\) = \(8, \d+, 2\) give 2 distinct scales"),
+], ids=["q-grid", "fit-range", "scale-grid"])
 def test_unusable_q_grid_or_fit_range_fails_before_any_estimator(
     options, message, mode, method, measure_file, tmp_path, monkeypatch
 ):

@@ -8,12 +8,12 @@ from mfdma import (
     ScaleGrid,
     ScalingEstimate,
     ValidationError,
+    analytic_alpha,
     analytic_alpha_1d,
-    analytic_alpha_2d,
+    analytic_f,
     analytic_f_1d,
-    analytic_f_2d,
+    analytic_tau,
     analytic_tau_1d,
-    analytic_tau_2d,
     build_q_grid,
     build_scale_grid,
     fit_scaling,
@@ -183,7 +183,7 @@ def test_analytic_tau_is_concave_and_nondecreasing():
         tau = analytic_tau_1d(p1, qs)
         assert np.all(np.diff(tau) >= 0)
         assert np.all(np.diff(tau, n=2) <= 1e-12)
-    tau2 = analytic_tau_2d((0.1, 0.2, 0.3, 0.4), qs)
+    tau2 = analytic_tau((0.1, 0.2, 0.3, 0.4), qs)
     assert np.all(np.diff(tau2) >= 0)
     assert np.all(np.diff(tau2, n=2) <= 1e-12)
 
@@ -191,7 +191,7 @@ def test_analytic_tau_is_concave_and_nondecreasing():
 def test_analytic_alpha_strictly_decreasing_when_asymmetric():
     qs = np.arange(-6.0, 6.01, 0.5)
     assert np.all(np.diff(analytic_alpha_1d(0.3, qs)) < 0)
-    assert np.all(np.diff(analytic_alpha_2d((0.1, 0.2, 0.3, 0.4), qs)) < 0)
+    assert np.all(np.diff(analytic_alpha((0.1, 0.2, 0.3, 0.4), qs)) < 0)
 
 
 def test_analytic_f_peaks_at_q_zero():
@@ -199,24 +199,26 @@ def test_analytic_f_peaks_at_q_zero():
     f = analytic_f_1d(0.3, qs)
     assert np.all(f <= 1.0 + 1e-12)
     assert qs[np.argmax(f)] == pytest.approx(0.0, abs=1e-12)
-    f2 = analytic_f_2d((0.1, 0.2, 0.3, 0.4), qs)
+    f2 = analytic_f((0.1, 0.2, 0.3, 0.4), qs)
     assert np.all(f2 <= 2.0 + 1e-12)
     assert qs[np.argmax(f2)] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_analytic_tau_2d_fixed_points():
     weights = (0.1, 0.2, 0.3, 0.4)
-    assert analytic_tau_2d(weights, 0.0) == pytest.approx(-2.0, abs=1e-14)
-    assert analytic_tau_2d(weights, 1.0) == pytest.approx(0.0, abs=1e-14)
-    assert analytic_tau_2d(weights, 2.0) == pytest.approx(1.73697, abs=1e-5)
-    assert (analytic_tau_2d(weights, 2.0) + 2.0) / 2.0 == pytest.approx(1.868, abs=1e-3)
+    assert analytic_tau(weights, 0.0) == pytest.approx(-2.0, abs=1e-14)
+    assert analytic_tau(weights, 1.0) == pytest.approx(0.0, abs=1e-14)
+    assert analytic_tau(weights, 2.0) == pytest.approx(1.73697, abs=1e-5)
+    assert (analytic_tau(weights, 2.0) + 2.0) / 2.0 == pytest.approx(1.868, abs=1e-3)
 
 
 def test_analytic_rejections():
     with pytest.raises(ValidationError):
         analytic_tau_1d(1.2, 1.0)
     with pytest.raises(ValidationError):
-        analytic_tau_2d((0.2, 0.2, 0.2, 0.2), 1.0)
+        analytic_tau((0.2, 0.2, 0.2, 0.2), 1.0)
+    with pytest.raises(ValidationError, match="two or four weights"):
+        analytic_tau((0.2, 0.3, 0.5), 1.0)
 
 
 # ------------------------------------------------------- widths and errors
