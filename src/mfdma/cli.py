@@ -29,10 +29,9 @@ from .generators import (
     shuffle_surrogate,
 )
 from .pipeline import (
+    CHOICES,
     DEFAULTS,
-    FORMATS,
-    METHODS,
-    MODES,
+    FIELD_TYPES,
     AnalysisConfig,
     analyze,
     csv_digest,
@@ -44,7 +43,7 @@ from .pipeline import (
     write_series_csv,
     write_surface_csv,
 )
-from .spectrum import _binomial_weights, analytic_alpha, analytic_f, analytic_tau
+from .spectrum import _binomial_weights, _check_weights, analytic_alpha, analytic_f, analytic_tau
 from .spectrum import build_q_grid, tau_error
 
 EXIT_OK = 0
@@ -88,48 +87,37 @@ def _parse_weights(text: str):
 
 
 def _cascade_weights(p1, weights_text):
-    """The weights of the cascade named by a p1 (binomial) or a weights option (square)."""
-    return _parse_weights(weights_text) if p1 is None else _binomial_weights(p1)
+    """The checked weights of the cascade named by a p1 (binomial) or a weights option (square)."""
+    return _check_weights(_parse_weights(weights_text) if p1 is None else _binomial_weights(p1))
+
+
+# the analysis flags are the AnalysisConfig fields: --field-name, except these
+FLAG_NAMES = {"input_path": "--input", "legendre_half_window": "--legendre-window",
+              "out_format": "--format"}
+FLAG_HELP = {
+    "input_path": "input data file",
+    "theta": "window position parameter in [0, 1]",
+    "legendre_half_window": "half-window of the local tau(q) slope estimate (default 3)",
+}
 
 
 def _add_analysis_options(parser: argparse.ArgumentParser):
     grid = parser.add_argument_group("analysis options")
-    grid.add_argument("--input", help="input data file")
-    grid.add_argument("--mode", choices=MODES)
-    grid.add_argument("--method", choices=METHODS)
-    grid.add_argument("--theta", type=float, help="window position parameter in [0, 1]")
-    grid.add_argument("--q-min", type=float, dest="q_min")
-    grid.add_argument("--q-max", type=float, dest="q_max")
-    grid.add_argument("--q-step", type=float, dest="q_step")
-    grid.add_argument("--n-min", type=int, dest="n_min")
-    grid.add_argument("--n-max", type=int, dest="n_max")
-    grid.add_argument("--n-count", type=int, dest="n_count")
-    grid.add_argument("--fit-lo", type=float, dest="fit_lo")
-    grid.add_argument("--fit-hi", type=float, dest="fit_hi")
-    grid.add_argument(
-        "--legendre-window",
-        type=int,
-        dest="legendre_half_window",
-        help="half-window of the local tau(q) slope estimate (default 3)",
-    )
-    grid.add_argument("--seed", type=int)
-    grid.add_argument("--out-dir", dest="out_dir")
-    grid.add_argument("--format", dest="out_format", choices=FORMATS)
+    for name, types in FIELD_TYPES.items():
+        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        grid.add_argument(flag, dest=name, type=types[0], choices=CHOICES.get(name),
+                          help=FLAG_HELP.get(name))
     grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
-def _ingest(args, **overrides):
-    """Config, input data and input-file SHA-256; the command line is checked first."""
-    options = {k: getattr(args, k, None) for k in DEFAULTS}
-    options["input_path"] = args.input
+def _config(args, **overrides) -> AnalysisConfig:
+    """The command's config from its flags and --config file; it must name an input."""
+    options = {k: getattr(args, k) for k in DEFAULTS}
     options.update(overrides)
     cfg = AnalysisConfig.from_sources(options, config_file=args.config)
     if cfg.input_path is None:
         raise ValidationError(f"{args.command} needs --input")
-    for flag, mode in (("analytic_p1", "series"), ("analytic_weights", "surface")):
-        if getattr(args, flag, None) is not None and cfg.mode != mode:
-            raise ValidationError(f"--{flag.replace('_', '-')} implies --mode {mode}")
-    return (cfg, *ingest_input(cfg))
+    return cfg
 
 
 def cmd_generate(args) -> int:
@@ -151,8 +139,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg, data, digest = _ingest(args)
-    bundle = analyze(cfg, data, digest)
+    cfg = _config(args)
+    bundle = analyze(cfg, *ingest_input(cfg))
     _print_scaling_summary(bundle, label=Path(cfg.input_path).name)
     if cfg.out_dir is not None:
         written = emit_results(bundle, cfg.out_dir, cfg.out_format)
@@ -162,7 +150,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    cfg, raw, digest = _ingest(args, mode="series")
+    cfg = _config(args, mode="series")
+    raw, digest = ingest_input(cfg)
     shuffled = shuffle_surrogate(raw, cfg.seed)
     raw_bundle = analyze(cfg, raw, digest)
     shuffled_bundle = analyze(cfg, shuffled, csv_digest(shuffled))
@@ -207,14 +196,20 @@ def cmd_compare(args) -> int:
         raise ValidationError(
             "compare needs exactly one analytic reference: --analytic-p1 or --analytic-weights"
         )
-    cfg, data, digest = _ingest(args)
+    cfg = _config(args)
+    flag, mode = ("p1", "series") if args.analytic_p1 is not None else ("weights", "surface")
+    if cfg.mode != mode:
+        raise ValidationError(f"--analytic-{flag} implies --mode {mode}")
+    # the reference needs no data, so a bad one fails before the input is read
+    weights = _cascade_weights(args.analytic_p1, args.analytic_weights)
+    data, digest = ingest_input(cfg)
     bundles = {
         label: analyze(replace(cfg, method=method, theta=theta), data, digest)
         for label, method, theta in COMPARE_METHODS
     }
 
     qs = bundles["mfdma_theta0"].estimate.qs.values
-    tau_ref = analytic_tau(_cascade_weights(args.analytic_p1, args.analytic_weights), qs)
+    tau_ref = analytic_tau(weights, qs)
 
     dtaus = {label: tau_error(b.estimate, tau_ref) for label, b in bundles.items()}
     sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}
@@ -287,21 +282,17 @@ def build_parser() -> argparse.ArgumentParser:
     g3.add_argument("--out", required=True)
     g3.set_defaults(func=cmd_generate)
 
-    ana = sub.add_parser("analyze", help="analyze one series or surface")
-    _add_analysis_options(ana)
-    ana.set_defaults(func=cmd_analyze)
-
-    sur = sub.add_parser("surrogate", help="analyze a series and its shuffled surrogate")
-    _add_analysis_options(sur)
-    sur.set_defaults(func=cmd_surrogate)
-
-    cmp_parser = sub.add_parser(
-        "compare", help="run backward/centered/forward MFDMA and MFDFA on one input"
+    commands = (
+        ("analyze", "analyze one series or surface", cmd_analyze),
+        ("surrogate", "analyze a series and its shuffled surrogate", cmd_surrogate),
+        ("compare", "run backward/centered/forward MFDMA and MFDFA on one input", cmd_compare),
     )
-    _add_analysis_options(cmp_parser)
-    cmp_parser.add_argument("--analytic-p1", type=float, dest="analytic_p1")
-    cmp_parser.add_argument("--analytic-weights", dest="analytic_weights")
-    cmp_parser.set_defaults(func=cmd_compare)
+    for name, help_text, func in commands:
+        command = sub.add_parser(name, help=help_text)
+        _add_analysis_options(command)
+        command.set_defaults(func=func)
+    sub.choices["compare"].add_argument("--analytic-p1", type=float, dest="analytic_p1")
+    sub.choices["compare"].add_argument("--analytic-weights", dest="analytic_weights")
 
     orc = sub.add_parser("oracle", help="print closed-form tau/alpha/f of a cascade")
     orc.add_argument("--p1", type=float)

@@ -148,6 +148,12 @@ def residual_series(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarra
     return y[n - future - 1: y.size - future] - means
 
 
+def _blocks(x: np.ndarray, n: int) -> np.ndarray:
+    """The whole side-n blocks of ``x`` as axes (c1, n, c2, n, ...); each remainder is dropped."""
+    counts = [side // n for side in x.shape]
+    return x[tuple(slice(c * n) for c in counts)].reshape([d for c in counts for d in (c, n)])
+
+
 def segment_rms(residuals: np.ndarray, n: int) -> SegmentFluctuations:
     """RMS over disjoint blocks of side n of a residual series or matrix.
 
@@ -158,9 +164,7 @@ def segment_rms(residuals: np.ndarray, n: int) -> SegmentFluctuations:
     n = int(n)
     if n < 1 or n > min(eps.shape, default=0):
         raise ValidationError(f"block side {n} invalid for residual shape {eps.shape}")
-    counts = [side // n for side in eps.shape]
-    whole = eps[tuple(slice(c * n) for c in counts)]
-    blocks = whole.reshape([d for c in counts for d in (c, n)])  # axes (c1, n, c2, n, ...)
+    blocks = _blocks(eps, n)
     rms = np.sqrt(np.mean(blocks**2, axis=tuple(range(1, blocks.ndim, 2))))
     return SegmentFluctuations(rms.ravel(), scale=n)
 
@@ -292,8 +296,7 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
     y = _compensated_cumsum(values)
 
     def rms_at(n):
-        count = y.size // n
-        resid = _polynomial_residuals(y[: count * n].reshape(count, n), order)
+        resid = _polynomial_residuals(_blocks(y, n), order)
         return np.sqrt(np.mean(resid**2, axis=1))
 
     return _fluctuation_table(grid, qs, rms_at)

@@ -17,8 +17,10 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .spectrum import FluctuationTable
-from .dma1d import _as_values, _fluctuation_table, _validate_scales
-from .dma1d import _power_mean  # noqa: F401  (perfbench/tracing.py hooks this name)
+from .dma1d import _as_values, _blocks, _fluctuation_table, _validate_scales
+# perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
+# power means run in dma1d._fluctuation_table and are counted as dma1d.power_mean
+from .dma1d import _power_mean  # noqa: F401
 # the one block RMS, under the name the 2-d estimator calls (and perfbench/tracing.py hooks)
 from .dma1d import segment_rms as segment_rms_2d
 
@@ -39,28 +41,26 @@ RECOMPUTE_EVERY = 256
 
 @dataclass(frozen=True)
 class DetrendConfig2D:
-    """Per-axis window sizes and position parameters."""
+    """Per-axis window sizes and one position parameter for both axes."""
 
     n1: int
     n2: int
-    theta1: float = 0.0
-    theta2: float = 0.0
+    theta: float = 0.0
 
     def __post_init__(self):
         for label, n in (("n1", self.n1), ("n2", self.n2)):
             if int(n) != n or n < 2:
                 raise ValidationError(f"{label} must be an integer >= 2, got {n}")
-        for label, t in (("theta1", self.theta1), ("theta2", self.theta2)):
-            if not 0.0 <= t <= 1.0:
-                raise ValidationError(f"{label} must lie in [0, 1], got {t}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValidationError(f"theta must lie in [0, 1], got {self.theta}")
         object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "n2", int(self.n2))
 
     @property
     def shifts(self) -> tuple[int, int]:
         """Alignment shift per axis between the sum and mean fields."""
-        d1 = min(math.floor(self.n1 * self.theta1), self.n1 - 1)
-        d2 = min(math.floor(self.n2 * self.theta2), self.n2 - 1)
+        d1 = min(math.floor(self.n1 * self.theta), self.n1 - 1)
+        d2 = min(math.floor(self.n2 * self.theta), self.n2 - 1)
         return d1, d2
 
 
@@ -128,7 +128,9 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
         )
     S1, T1 = _flat_and_ramp_sums(values, n1)
     S2, _ = _flat_and_ramp_sums(np.ascontiguousarray(S1.T), n2, ramp=False)
+    del S1  # each first-axis pass is freed once read, which bounds peak memory
     _, T2 = _flat_and_ramp_sums(np.ascontiguousarray(T1.T), n2)
+    del T1
     return WindowAggregates2D(
         total=np.ascontiguousarray(S2.T),
         cummean=np.ascontiguousarray(T2.T) / float(n1 * n2),
@@ -140,7 +142,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
 def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> np.ndarray:
     """Residual matrix: window sums minus theta-shifted window means.
 
-    With shift d_a = min(floor(n_a * theta_a), n_a - 1) per axis, the
+    With shift d_a = min(floor(n_a * theta), n_a - 1) per axis, the
     residual at (j1, j2) is total(j1, j2) - cummean(j1 + d1, j2 + d2); the
     output shrinks by exactly d_a along axis a.
     """
@@ -174,7 +176,7 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     grid = _validate_scales(scales, values.shape)
 
     def rms_at(n):
-        cfg = DetrendConfig2D(n, n, theta, theta)
+        cfg = DetrendConfig2D(n, n, theta)
         return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
 
     return _fluctuation_table(grid, qs, rms_at)
@@ -213,12 +215,7 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
     grid = _validate_scales(scales, values.shape)
 
     def rms_at(n):
-        b1, b2 = values.shape[0] // n, values.shape[1] // n
-        blocks = (
-            values[: b1 * n, : b2 * n]
-            .reshape(b1, n, b2, n)
-            .transpose(0, 2, 1, 3)
-        )
+        blocks = _blocks(values, n).transpose(0, 2, 1, 3)
         resid = _plane_residuals(blocks.cumsum(axis=2).cumsum(axis=3))
         return np.sqrt(np.mean(resid**2, axis=(2, 3))).ravel()
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
+from .spectrum import _binomial_weights
 
 __all__ = [
     "Series",
@@ -30,50 +31,43 @@ MAX_LEVELS_2D = 12
 
 
 @dataclass(frozen=True)
-class Series:
-    """A one-dimensional real signal x(t), t = 1..N.
+class _Values:
+    """Finite real values with ``ndim`` axes, coerced to a float64 array.
 
-    Values are coerced to a float64 array and must all be finite.
-    Analysis entry points additionally require N >= 4.
+    Analysis entry points additionally require at least 4 points along
+    every axis.
     """
 
     values: np.ndarray
     name: str | None = None
 
     def __post_init__(self):
+        kind = type(self).__name__.lower()
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1:
-            raise ValidationError(f"series must be one-dimensional, got shape {v.shape}")
+        if v.ndim != self.ndim:
+            dims = ("one", "two")[self.ndim - 1]
+            raise ValidationError(f"{kind} must be {dims}-dimensional, got shape {v.shape}")
         if v.size == 0:
-            raise ValidationError("series is empty")
+            raise ValidationError(f"{kind} is empty")
         if not np.all(np.isfinite(v)):
             bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValidationError(f"series contains a non-finite value at index {bad}")
+            raise ValidationError(f"{kind} contains a non-finite value at index {bad}")
         object.__setattr__(self, "values", v)
+
+
+class Series(_Values):
+    """A one-dimensional real signal x(t), t = 1..N."""
+
+    ndim = 1
 
     def __len__(self):
         return self.values.size
 
 
-@dataclass(frozen=True)
-class Surface:
-    """A two-dimensional real field X(i1, i2) of shape N1 x N2.
+class Surface(_Values):
+    """A two-dimensional real field X(i1, i2) of shape N1 x N2; a flat index names a bad value."""
 
-    Analysis entry points additionally require N1, N2 >= 4.
-    """
-
-    values: np.ndarray
-    name: str | None = None
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2:
-            raise ValidationError(f"surface must be two-dimensional, got shape {v.shape}")
-        if v.size == 0:
-            raise ValidationError("surface is empty")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("surface contains non-finite values")
-        object.__setattr__(self, "values", v)
+    ndim = 2
 
     @property
     def shape(self):
@@ -93,18 +87,13 @@ class CascadeSpec1D:
     levels: int
 
     def __post_init__(self):
-        if not 0.0 < self.p1 < 1.0:
-            raise ValidationError(f"p1 must lie strictly inside (0, 1), got {self.p1}")
+        _binomial_weights(self.p1)  # raises unless 0 < p1 < 1
         if self.levels <= 0:
             raise ValidationError(f"levels must be a positive integer, got {self.levels}")
         if self.levels > MAX_LEVELS_1D:
             raise ValidationError(
                 f"levels={self.levels} exceeds the memory guard of {MAX_LEVELS_1D}"
             )
-
-    @property
-    def p2(self) -> float:
-        return 1.0 - self.p1
 
 
 @dataclass(frozen=True)
@@ -136,6 +125,14 @@ class CascadeSpec2D:
         object.__setattr__(self, "weights", w)
 
 
+def _cascade(split: np.ndarray, levels: int) -> np.ndarray:
+    """Unit mass refined ``levels`` times, each cell handing out ``split``'s fractions."""
+    measure = np.ones((1,) * split.ndim)
+    for _ in range(levels):
+        measure = np.kron(measure, split)
+    return measure
+
+
 def binomial_measure_1d(spec: CascadeSpec1D) -> Series:
     """Generate the deterministic binomial measure of length 2**levels.
 
@@ -143,10 +140,7 @@ def binomial_measure_1d(spec: CascadeSpec1D) -> Series:
     ``p1`` to its left half and ``1 - p1`` to its right half.  The
     construction is deterministic, so repeated calls are bitwise equal.
     """
-    split = np.array([spec.p1, spec.p2])
-    measure = np.array([1.0])
-    for _ in range(spec.levels):
-        measure = np.kron(measure, split)
+    measure = _cascade(np.array(_binomial_weights(spec.p1)), spec.levels)
     return Series(measure, name=f"binomial(p1={spec.p1:g}, levels={spec.levels})")
 
 
@@ -156,10 +150,7 @@ def cascade_measure_2d(spec: CascadeSpec2D) -> Surface:
     Each cell splits into four quadrants weighted (top-left, top-right,
     bottom-left, bottom-right) by ``spec.weights``, recursively.
     """
-    split = np.array(spec.weights).reshape(2, 2)
-    measure = np.array([[1.0]])
-    for _ in range(spec.levels):
-        measure = np.kron(measure, split)
+    measure = _cascade(np.array(spec.weights).reshape(2, 2), spec.levels)
     return Surface(measure, name=f"cascade2d(weights={spec.weights}, levels={spec.levels})")
 
 

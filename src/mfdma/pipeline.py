@@ -56,6 +56,8 @@ MODES = ("series", "surface")
 SCALE_DEFAULTS = {"series": (10, 1000, 30), "surface": (8, math.inf, 15)}
 METHODS = ("mfdma", "mfdfa")
 FORMATS = ("json", "csv-set", "plot-data")
+# the config fields whose value must be one of a fixed set
+CHOICES = {"mode": MODES, "method": METHODS, "out_format": FORMATS}
 
 
 @dataclass(frozen=True)
@@ -84,22 +86,17 @@ class AnalysisConfig:
     out_format: str = "json"
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.method not in METHODS:
-            raise ValidationError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                label = name.removeprefix("out_")
+                raise ValidationError(
+                    f"{label} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
         if not 0.0 <= self.theta <= 1.0:
             raise ValidationError(f"theta must lie in [0, 1], got {self.theta}")
-        if self.out_format not in FORMATS:
-            raise ValidationError(
-                f"format must be one of {FORMATS}, got {self.out_format!r}"
-            )
-        if self.legendre_half_window < 1:
-            raise ValidationError(
-                f"legendre half-window must be at least 1, got {self.legendre_half_window}"
-            )
         # grid parameters are validated for real when the grids are built
-        build_q_grid(self.q_min, self.q_max, self.q_step)
+        qs = build_q_grid(self.q_min, self.q_max, self.q_step)
+        _check_legendre_window(qs, self.legendre_half_window)
 
     @classmethod
     def from_sources(cls, cli_options: dict, config_file: str | None = None):
@@ -120,9 +117,8 @@ class AnalysisConfig:
             unknown = sorted(set(loaded) - set(DEFAULTS))
             if unknown:
                 raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-            hints = typing.get_type_hints(cls)
             for key, value in loaded.items():
-                allowed = typing.get_args(hints[key]) or (hints[key],)
+                allowed = FIELD_TYPES[key]
                 if float in allowed:
                     allowed += (int,)  # a JSON integer is a valid float
                 # no field is boolean, and a JSON boolean is not an integer
@@ -139,6 +135,11 @@ class AnalysisConfig:
 # Static defaults; n_max of None resolves against the ingested data so the
 # grid respects the N/4 cap.  The resolved values are echoed in provenance.
 DEFAULTS = {f.name: f.default for f in fields(AnalysisConfig)}
+# each field's allowed value types: the declared type first, then NoneType if optional
+FIELD_TYPES = {
+    name: typing.get_args(hint) or (hint,)
+    for name, hint in typing.get_type_hints(AnalysisConfig).items()
+}
 
 
 @dataclass(eq=False)
@@ -271,7 +272,7 @@ def _sha256_file(path) -> str:
 def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, tuple, dict]:
     """Scale grid, q grid, fit range and resolved scale options of ``cfg``.
 
-    Every grid rule is checked here, before any estimator runs.
+    Every grid rule left to the data is checked here, before any estimator runs.
     """
     default_min, default_max, default_count = SCALE_DEFAULTS[cfg.mode]
     n_min = default_min if cfg.n_min is None else cfg.n_min
@@ -289,7 +290,6 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
     )
     _fit_mask(scales, fit_range)
     qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step)
-    _check_legendre_window(qs, cfg.legendre_half_window)
     resolved = {"n_min": int(n_min), "n_max": int(n_max), "n_count": int(n_count)}
     return scales, qs, fit_range, resolved
 
@@ -410,21 +410,21 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
         files = {"result.json": json_text(_bundle_to_dict(bundle))}
 
     elif out_format == "csv-set":
-        qs = bundle.table.qs.values
+        doc = _bundle_to_dict(bundle)
+        table, scaling, spectrum = doc["fluctuations"], doc["scaling"], doc["spectrum"]
         files = {
             "fluctuations.csv": csv_table(
-                ["n"] + [f"F[q={q:g}]" for q in qs],
-                [bundle.table.scales.values, *bundle.table.values.T],
+                ["n"] + [f"F[q={q:g}]" for q in table["qs"]],
+                [table["scales"], *zip(*table["values"])],
             ),
             "scaling.csv": csv_table(
                 ["q", "h", "h_se", "tau", "tau_se"],
-                [est.qs.values, est.h, est.h_se, est.tau, np.abs(est.qs.values) * est.h_se],
+                [scaling[k] for k in ("qs", "h", "h_se", "tau", "tau_se")],
             ),
             "spectrum.csv": csv_table(
-                ["q", "alpha", "f"],
-                [bundle.spectrum.qs, bundle.spectrum.alpha, bundle.spectrum.f],
+                ["q", "alpha", "f"], [spectrum[k] for k in ("qs", "alpha", "f")]
             ),
-            "provenance.json": json_text(bundle.provenance),
+            "provenance.json": json_text(doc["provenance"]),
         }
 
     else:  # plot-data

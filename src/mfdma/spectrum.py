@@ -183,16 +183,12 @@ def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     linear data yields an SE at rounding-noise level rather than one
     contaminated by a 1 - r**2 cancellation.
     """
-    m = x.size
     xc = x - x.mean()
     sxx = float(np.dot(xc, xc))
     slope = float(np.dot(xc, y)) / sxx
     intercept = float(y.mean() - slope * x.mean())
     resid = y - (intercept + slope * x)
-    if m > 2:
-        se = float(np.sqrt(np.dot(resid, resid) / (m - 2) / sxx))
-    else:
-        se = 0.0
+    se = float(np.sqrt(np.dot(resid, resid) / (x.size - 2) / sxx))  # _fit_mask keeps >= 3 points
     return slope, intercept, se
 
 
@@ -210,7 +206,7 @@ def _fit_mask(scales: ScaleGrid, fit_range) -> np.ndarray:
 def _check_legendre_window(qs: QGrid, half_window: int):
     """The local tau(q) slope needs 2 * half_window + 1 points of the q grid."""
     if half_window < 1:
-        raise ValidationError(f"half_window must be at least 1, got {half_window}")
+        raise ValidationError(f"legendre half-window must be at least 1, got {half_window}")
     if len(qs) < 2 * half_window + 1:
         raise ValidationError(
             f"need at least {2 * half_window + 1} q points for half_window={half_window}"
@@ -282,7 +278,7 @@ def _check_weights(weights) -> np.ndarray:
     if np.any(w <= 0):
         raise ValidationError("analytic formulas need strictly positive weights")
     if abs(w.sum() - 1.0) > 1e-12:
-        raise ValidationError(f"weights must sum to 1 within 1e-12, got {w.sum()!r}")
+        raise ValidationError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
     return w
 
 

@@ -166,6 +166,64 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
     assert "ranking (best first)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "mode, reference, message",
+    [
+        ("series", ["--analytic-p1", "1.5"], "p1 must lie strictly inside (0, 1), got 1.5"),
+        ("surface", ["--analytic-weights", "0.5,0.5,0.5,0.5"],
+         "weights must sum to 1 within 1e-12, got 2.0"),
+    ],
+    ids=["p1-on-series", "weights-on-surface"],
+)
+def test_compare_rejects_a_bad_reference_before_reading(
+    mode, reference, message, measure_file, tmp_path, monkeypatch, capsys
+):
+    # the reference needs no data, so neither the input nor any estimator is reached
+    from mfdma import cli, pipeline
+
+    calls = []
+
+    def spy(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+        return record
+
+    monkeypatch.setattr(cli, "ingest_input", spy("ingest_input"))
+    for name in ("mfdma_fluctuations_1d", "mfdfa_fluctuations_1d",
+                 "mfdma_fluctuations_2d", "mfdfa_fluctuations_2d"):
+        monkeypatch.setattr(pipeline, name, spy(name))
+    argv = ["compare", "--mode", mode, "--input", str(measure_file),
+            "--out-dir", str(tmp_path / "out")]
+    assert main(argv + reference) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "surrogate", "compare"])
+def test_analysis_flags_are_the_config_fields(command):
+    # one option per AnalysisConfig field, named by it and typed and limited as declared
+    import argparse
+    import typing
+
+    from mfdma.cli import build_parser
+    from mfdma.pipeline import CHOICES, AnalysisConfig
+
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    actions = [a for a in subparsers.choices[command]._actions if a.dest != "help"]
+    hints = typing.get_type_hints(AnalysisConfig)
+    extra = ["config"] + (["analytic_p1", "analytic_weights"] if command == "compare" else [])
+    assert sorted(a.dest for a in actions) == sorted([*hints, *extra])
+    by_dest = {a.dest: a for a in actions}
+    for name, hint in hints.items():
+        declared = (typing.get_args(hint) or (hint,))[0]
+        assert by_dest[name].type is declared, name
+        assert by_dest[name].choices == CHOICES.get(name), name
+
+
 @pytest.mark.parametrize("mode", ["series", "surface"])
 def test_compare_reads_its_input_once(mode, measure_file, tmp_path, monkeypatch):
     # and so do analyze and, on series, surrogate: every analysis command
@@ -283,6 +341,11 @@ def test_oracle_stdout_is_pinned(argv, sha256, capsys):
 def test_oracle_rejects_ambiguous_reference(capsys):
     assert main(["oracle", "--p1", "0.3", "--weights", "0.25,0.25,0.25,0.25"]) == 2
     assert main(["oracle"]) == 2
+
+
+def test_oracle_names_the_weight_sum_as_a_plain_number(capsys):
+    assert main(["oracle", "--weights", "0.5,0.5,0.5,0.5"]) == 2
+    assert capsys.readouterr().err == "error: weights must sum to 1 within 1e-12, got 2.0\n"
 
 
 def test_config_file_flag_precedence(measure_file, tmp_path):

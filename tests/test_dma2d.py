@@ -106,7 +106,7 @@ def test_residual_shapes_across_theta(rng):
     values = rng.standard_normal((40, 34))
     for n in range(2, 17):
         for theta in (0.0, 0.5, 1.0):
-            cfg = DetrendConfig2D(n, n, theta, theta)
+            cfg = DetrendConfig2D(n, n, theta)
             agg = window_aggregates(values, cfg)
             assert agg.total.shape == (40 - n + 1, 34 - n + 1)
             eps = residual_matrix_2d(agg, cfg)
@@ -116,7 +116,7 @@ def test_residual_shapes_across_theta(rng):
 
 def test_residual_backward_alignment_is_identity(rng):
     values = rng.standard_normal((12, 12))
-    cfg = DetrendConfig2D(3, 3, 0.0, 0.0)
+    cfg = DetrendConfig2D(3, 3, 0.0)
     agg = window_aggregates(values, cfg)
     eps = residual_matrix_2d(agg, cfg)
     assert eps.shape == agg.total.shape
@@ -125,7 +125,7 @@ def test_residual_backward_alignment_is_identity(rng):
 
 def test_residual_constant_surface_is_constant():
     c, n = 1.5, 4
-    cfg = DetrendConfig2D(n, n, 0.0, 0.0)
+    cfg = DetrendConfig2D(n, n, 0.0)
     agg = window_aggregates(np.full((16, 16), c), cfg)
     eps = residual_matrix_2d(agg, cfg)
     expected = c * (n * n - (n + 1) ** 2 / 4.0)
@@ -134,7 +134,7 @@ def test_residual_constant_surface_is_constant():
 
 def test_residual_forward_shrinks_by_n_minus_one(rng):
     values = rng.standard_normal((20, 20))
-    cfg = DetrendConfig2D(4, 4, 1.0, 1.0)
+    cfg = DetrendConfig2D(4, 4, 1.0)
     eps = residual_matrix_2d(window_aggregates(values, cfg), cfg)
     assert eps.shape == (20 - 4 + 1 - 3, 20 - 4 + 1 - 3)
 

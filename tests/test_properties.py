@@ -55,3 +55,15 @@ def test_fluctuations_scale_with_the_data(name, data):
             assert scaled == base
         else:
             np.testing.assert_allclose(scaled, abs(c) * base, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_fluctuations_do_not_decrease_in_q(name, data):
+    """Each row of F_q(n) is a power mean over one scale's segments, so it grows with q."""
+    ndim, estimator = ESTIMATORS[name]
+    table = _fluctuations(estimator, data.draw(_data(ndim)))
+    if isinstance(table, tuple):  # a zero-RMS segment leaves q <= 0 undefined
+        return
+    assert np.all(table[:, 1:] >= table[:, :-1] * (1 - 1e-12))
