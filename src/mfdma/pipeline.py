@@ -13,6 +13,7 @@ import json
 import math
 import re
 import typing
+from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -179,9 +180,11 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     one line's comma-split tokens and returns the tokens to convert.  Every
     row must convert to finite floats and be as wide as the first one; the
     first line that breaks a rule, or is not UTF-8, is named.  With
-    ``header``, a line 1 that is not a number is skipped.
+    ``header``, a line 1 that is not a number is skipped.  The values are
+    kept in one flat double array, 8 bytes each.
     """
-    rows = []
+    values = array("d")
+    width = None
     with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line_no, raw in enumerate(handle, start=1):
             line = raw.strip()
@@ -190,6 +193,16 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
             if not line.isascii() and (escaped := _ESCAPED_BYTE.search(line)):
                 problem = f"not UTF-8 text (byte {ord(escaped[0]) - 0xDC00:#04x})"
                 raise _line_error(path, line_no, problem)
+            if "," not in line and width in (None, 1):
+                # both column rules keep a comma-free line as its one token
+                try:
+                    value = float(line)
+                except ValueError:
+                    value = math.nan  # the row rules below name the problem
+                if math.isfinite(value):
+                    values.append(value)
+                    width = 1
+                    continue
             tokens = columns(line.split(","), path, line_no)
             try:
                 row = list(map(float, tokens))
@@ -199,15 +212,14 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
                 raise _bad_token(path, line_no, tokens) from None
             if not all(map(math.isfinite, row)):
                 raise _bad_token(path, line_no, tokens)
-            if rows and len(row) != len(rows[0]):
-                raise _line_error(
-                    path, line_no,
-                    f"ragged row, got {len(row)} values, expected {len(rows[0])}",
-                )
-            rows.append(row)
-    if not rows:
+            if width not in (None, len(row)):
+                problem = f"ragged row, got {len(row)} values, expected {width}"
+                raise _line_error(path, line_no, problem)
+            width = len(row)
+            values.fromlist(row)
+    if width is None:
         raise InputFormatError(f"{path}: no data rows", path=str(path))
-    return np.array(rows)
+    return np.frombuffer(values).reshape(-1, width)
 
 
 def _single_column(tokens, path, line_no):
@@ -239,26 +251,34 @@ def ingest_surface(path) -> Surface:
     return Surface(_read_rows(path, _one_trailing_comma), name=path.name)
 
 
-def _series_csv(series: Series) -> str:
-    return "".join(f"{float(v)!r}\n" for v in series.values)
+_CSV_CHUNK = 4096  # lines per piece: the whole series text never exists at once
+
+
+def _series_csv(series: Series):
+    """The text of ``write_series_csv``, in pieces of at most ``_CSV_CHUNK`` lines."""
+    values = series.values
+    for start in range(0, values.size, _CSV_CHUNK):
+        yield "\n".join(map(repr, values[start:start + _CSV_CHUNK].tolist())) + "\n"
 
 
 def write_series_csv(series: Series, path):
     """Write a series as single-column CSV with full float precision."""
-    Path(path).write_text(_series_csv(series))
+    with open(path, "w") as handle:
+        handle.writelines(_series_csv(series))
 
 
 def write_surface_csv(surface: Surface, path):
     """Write a surface as comma-delimited rows with full float precision."""
-    path = Path(path)
     with open(path, "w") as handle:
-        for row in surface.values:
-            handle.write(",".join(repr(float(v)) for v in row) + "\n")
+        handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in surface.values)
 
 
 def csv_digest(series: Series) -> str:
     """SHA-256 of the text ``write_series_csv`` writes for ``series``."""
-    return hashlib.sha256(_series_csv(series).encode()).hexdigest()
+    digest = hashlib.sha256()
+    for piece in _series_csv(series):
+        digest.update(piece.encode())
+    return digest.hexdigest()
 
 
 def _sha256_file(path) -> str:

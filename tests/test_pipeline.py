@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -143,6 +144,14 @@ INGEST_CORPUS = {
     "non-utf8-header": ("series", b"r\xe9t\n1\n", _fails(1, "line 1: not UTF-8 text (byte 0xe9)")),
     "utf8-header": ("series", "rét\n0.5\n", [0.5]),
     "utf8-token": ("series", "1\n½\n", _fails(2, "line 2: not a number: '½'")),
+    # comma-free lines: one float() each, while the rows are one value wide
+    "wide-row-after-comma-free-rows": ("surface", "1\n2,3\n", _fails(
+        2, "line 2: ragged row, got 2 values, expected 1")),
+    "one-column-surface": ("surface", "1\n2\n3\n", [[1.0], [2.0], [3.0]]),
+    "series-mixes-commas": ("series", "1,\n2\n3,,\n", [1.0, 2.0, 3.0]),
+    "series-extremes": ("series", "-0.0\n5e-324\n1e308\n", [-0.0, 5e-324, 1e308]),
+    "non-finite-comma-free-line-3": ("series", "1\n2\n 1e999 \n", _fails(
+        3, "line 3: non-finite value '1e999'")),
 }
 
 
@@ -203,6 +212,63 @@ def test_surface_csv_round_trip_is_exact(tmp_path):
     write_surface_csv(surface, path)
     again = ingest_surface(path)
     assert np.array_equal(surface.values, again.values)
+
+
+# edge cases of repr: signed zero, the smallest subnormal, the largest
+# double, and the switches to exponent notation
+REPR_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-7, 1e16]
+
+
+@pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 8193])
+def test_series_csv_pieces_make_the_one_shot_text(length, tmp_path):
+    rng = np.random.default_rng(length)
+    values = np.resize(REPR_EDGES + rng.standard_normal(3).tolist(), length)
+    series = Series(values)
+    path = tmp_path / "s.csv"
+    write_series_csv(series, path)
+    assert path.read_text() == "".join(f"{v!r}\n" for v in values.tolist())
+    assert pipeline.csv_digest(series) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert ingest_series(path).values.tobytes() == values.tobytes()
+
+
+def test_surface_csv_is_the_one_shot_text(tmp_path):
+    values = np.resize(REPR_EDGES + [1.5, -2.25], (3, 5))
+    path = tmp_path / "s.csv"
+    write_surface_csv(Surface(values), path)
+    expected = "".join(",".join(f"{v!r}" for v in row) + "\n" for row in values.tolist())
+    assert path.read_text() == expected
+    assert ingest_surface(path).values.tobytes() == values.tobytes()
+
+
+def _traced_peak(call):
+    """The result of ``call()`` and the peak memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["series", "surface"])
+def test_ingest_holds_little_more_than_its_values(kind, tmp_path):
+    # 8 bytes per value: no Python float per value, no list per row
+    rng = np.random.default_rng(5)
+    path = tmp_path / "in.csv"
+    if kind == "series":
+        write_series_csv(Series(rng.standard_normal(2**16)), path)
+        values, peak = _traced_peak(lambda: ingest_series(path).values)
+    else:
+        write_surface_csv(Surface(rng.standard_normal((256, 256))), path)
+        values, peak = _traced_peak(lambda: ingest_surface(path).values)
+    assert values.size == 2**16
+    assert peak <= 2 * values.nbytes
+
+
+def test_csv_digest_never_holds_the_whole_text():
+    series = Series(np.random.default_rng(6).standard_normal(2**16))
+    digest, peak = _traced_peak(lambda: pipeline.csv_digest(series))
+    assert len(digest) == 64
+    assert peak <= 2 * series.values.nbytes
 
 
 # ----------------------------------------------------------------- config
