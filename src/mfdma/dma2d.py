@@ -79,36 +79,60 @@ class WindowAggregates2D:
     n2: int
 
 
-def _flat_and_ramp_sums(x: np.ndarray, n: int, ramp=True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Sliding flat and descending-ramp weighted sums along axis 0.
+def _row_sums(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sliding flat and descending-ramp sums along axis 0.
 
-    Returns (S, T) of shape (rows - n + 1, cols) with
-    S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a].
-    Both slide incrementally and are recomputed exactly every
-    RECOMPUTE_EVERY steps.  With ``ramp`` false, T is None and not computed.
+    Returns (S, T) with S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a].
+    Their steps, x[j+n-1] - x[j-1] and S[j] - n*x[j-1], are formed as whole-array
+    ops in the outputs, then carried down the rows by one in-place add per row.
     """
-    rows, cols = x.shape
-    count = rows - n + 1
-    weights = np.arange(n, 0, -1, dtype=float)
-    S = np.empty((count, cols))
-    T = np.empty((count, cols)) if ramp else None
-    S[0] = x[:n].sum(axis=0)
-    if ramp:
-        T[0] = weights @ x[:n]
-    scratch = np.empty(cols)
-    for j in range(1, count):
-        if j % RECOMPUTE_EVERY == 0:
-            S[j] = x[j:j + n].sum(axis=0)
-            if ramp:
-                T[j] = weights @ x[j:j + n]
-            continue
-        np.subtract(S[j - 1], x[j - 1], out=S[j])
-        S[j] += x[j + n - 1]
-        if ramp:
-            np.multiply(x[j - 1], float(n), out=scratch)
-            np.subtract(T[j - 1], scratch, out=T[j])
-            T[j] += S[j]
+    count = x.shape[0] - n + 1
+    starts = range(0, count, RECOMPUTE_EVERY)
+    S = np.empty((count, x.shape[1]))
+    T = np.empty_like(S)
+    np.subtract(x[n:], x[:count - 1], out=S[1:])
+    _carry_rows(S, [x[j:j + n].sum(axis=0) for j in starts])
+    np.multiply(x[:count - 1], -float(n), out=T[1:])
+    T[1:] += S[1:]
+    _carry_rows(T, [np.arange(n, 0, -1, dtype=float) @ x[j:j + n] for j in starts])
     return S, T
+
+
+def _carry_rows(steps: np.ndarray, firsts: list) -> None:
+    """Row steps to running sums in place: an add per row, each chunk from its exact first row."""
+    for start, first in zip(range(0, len(steps), RECOMPUTE_EVERY), firsts):
+        steps[start] = first
+        for j in range(start + 1, min(start + RECOMPUTE_EVERY, len(steps))):
+            np.add(steps[j - 1], steps[j], out=steps[j])
+
+
+def _column_sums(x: np.ndarray, n: int, ramp: bool) -> np.ndarray:
+    """Sliding flat sums along axis 1 or, with ``ramp``, descending-ramp sums.
+
+    The steps, x[:, k+n-1] - x[:, k-1] and then for the ramp F[:, k] - n*x[:, k-1]
+    from the flat sums F, are formed in the output and carried along the C-contiguous
+    rows by one cumsum per chunk.  The ramp scales x by -n in place: pass a scratch array.
+    """
+    count = x.shape[1] - n + 1
+    starts = range(0, count, RECOMPUTE_EVERY)
+    out = np.empty((x.shape[0], count))
+    np.subtract(x[:, n:], x[:, :count - 1], out=out[:, 1:])
+    _carry_columns(out, [x[:, k:k + n].sum(axis=1) for k in starts])
+    if ramp:
+        firsts = [x[:, k:k + n] @ np.arange(n, 0, -1, dtype=float) for k in starts]
+        steps = x[:, :count - 1]
+        steps *= -float(n)
+        out[:, 1:] += steps
+        _carry_columns(out, firsts)
+    return out
+
+
+def _carry_columns(steps: np.ndarray, firsts: list) -> None:
+    """Column steps to running sums in place: a cumsum per chunk from its exact first column."""
+    for k, first in zip(range(0, steps.shape[1], RECOMPUTE_EVERY), firsts):
+        block = steps[:, k:k + RECOMPUTE_EVERY]
+        block[:, 0] = first
+        np.cumsum(block, axis=1, out=block)
 
 
 def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
@@ -117,8 +141,11 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
     For the n1 x n2 sub-matrix Z at each position, ``total`` is the plain
     sum of Z and ``cummean`` is the mean over all entries of the 2-d
     cumulative sum of Z.  The latter reduces to a separable weighted sum,
-    weight (n1 - a) * (n2 - b) at offset (a, b) inside the window, which is
-    what the rolling passes compute.
+    weight (n1 - a) * (n2 - b) at offset (a, b) inside the window.  One
+    rolling pass down the rows gives the flat and ramp sums over n1; one
+    pass along the rows of each gives the flat (total) and ramp (cummean)
+    sums over n2.  No pass copies or transposes the surface, and both
+    refresh exactly every RECOMPUTE_EVERY steps to bound drift.
     """
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
@@ -126,17 +153,12 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
         raise ValidationError(
             f"window {n1}x{n2} does not fit surface of shape {values.shape}"
         )
-    S1, T1 = _flat_and_ramp_sums(values, n1)
-    S2, _ = _flat_and_ramp_sums(np.ascontiguousarray(S1.T), n2, ramp=False)
-    del S1  # each first-axis pass is freed once read, which bounds peak memory
-    _, T2 = _flat_and_ramp_sums(np.ascontiguousarray(T1.T), n2)
-    del T1
-    return WindowAggregates2D(
-        total=np.ascontiguousarray(S2.T),
-        cummean=np.ascontiguousarray(T2.T) / float(n1 * n2),
-        n1=n1,
-        n2=n2,
-    )
+    S1, T1 = _row_sums(values, n1)
+    total = _column_sums(S1, n2, ramp=False)
+    del S1  # freed before the ramp pass, which bounds peak memory at three passes
+    cummean = _column_sums(T1, n2, ramp=True)
+    cummean /= float(n1 * n2)
+    return WindowAggregates2D(total=total, cummean=cummean, n1=n1, n2=n2)
 
 
 def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from mfdma import (
     segment_rms_2d,
     window_aggregates,
 )
-from mfdma.dma2d import _plane_residuals
+from mfdma.dma2d import RECOMPUTE_EVERY, _plane_residuals
 
 
 def naive_aggregates(values, n1, n2):
@@ -93,6 +95,44 @@ def test_window_aggregates_rolling_refresh_long_slide(rng):
     total, cummean = naive_aggregates(values, 3, 2)
     assert np.allclose(agg.total, total, rtol=1e-12, atol=1e-12)
     assert np.allclose(agg.cummean, cummean, rtol=1e-12, atol=1e-12)
+
+
+def test_window_aggregates_rolling_refresh_long_second_axis_slide(rng):
+    # the second axis carries its steps by a cumsum per chunk of columns
+    values = rng.standard_normal((5, 600))
+    agg = window_aggregates(values, DetrendConfig2D(2, 3))
+    total, cummean = naive_aggregates(values, 2, 3)
+    assert np.allclose(agg.total, total, rtol=1e-12, atol=1e-12)
+    assert np.allclose(agg.cummean, cummean, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("slides", [RECOMPUTE_EVERY - 1, RECOMPUTE_EVERY, RECOMPUTE_EVERY + 1])
+def test_window_aggregates_at_the_refresh_edges(rng, axis, slides):
+    # `slides` window positions along `axis`: one chunk one short of full, one full
+    # chunk, or a full chunk plus a lone exactly recomputed position
+    n1, n2 = 3, 4
+    shape = [6, 7]
+    shape[axis] = slides + (n1, n2)[axis] - 1
+    values = rng.standard_normal(shape)
+    agg = window_aggregates(values, DetrendConfig2D(n1, n2))
+    total, cummean = naive_aggregates(values, n1, n2)
+    assert agg.total.shape[axis] == slides
+    assert np.allclose(agg.total, total, rtol=1e-12, atol=1e-12)
+    assert np.allclose(agg.cummean, cummean, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_window_aggregates_peak_memory(rng, n):
+    # both outputs plus one first-axis pass; no transposed copies
+    values = rng.standard_normal((512, 512))
+    tracemalloc.start()
+    try:
+        window_aggregates(values, DetrendConfig2D(n, n))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * values.nbytes
 
 
 def test_window_aggregates_reject_oversize_window():

@@ -7,10 +7,12 @@ from hypothesis.extra.numpy import arrays
 
 from mfdma import (
     DegenerateSegmentError,
+    DetrendConfig2D,
     mfdfa_fluctuations_1d,
     mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
     mfdma_fluctuations_2d,
+    window_aggregates,
 )
 
 QS = [-3.0, -1.0, 0.0, 1.0, 3.0]
@@ -67,3 +69,38 @@ def test_fluctuations_do_not_decrease_in_q(name, data):
     if isinstance(table, tuple):  # a zero-RMS segment leaves q <= 0 undefined
         return
     assert np.all(table[:, 1:] >= table[:, :-1] * (1 - 1e-12))
+
+
+def _normal_surface(data, lo, hi):
+    """A standard-normal surface of a drawn, usually non-dyadic, shape."""
+    shape = data.draw(st.tuples(st.integers(lo, hi), st.integers(lo, hi)))
+    return np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_window_aggregates_transpose_with_the_surface(data):
+    """The two axes run different passes; swapping them must only transpose the sums."""
+    x = _normal_surface(data, 6, 300)
+    n1, n2 = data.draw(st.integers(2, 6)), data.draw(st.integers(2, 6))
+    agg = window_aggregates(x, DetrendConfig2D(n1, n2))
+    flipped = window_aggregates(x.T, DetrendConfig2D(n2, n1))
+    np.testing.assert_allclose(flipped.total, agg.total.T, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(flipped.cummean, agg.cummean.T, rtol=1e-12, atol=1e-12)
+
+
+SURFACE_ESTIMATORS = {
+    **{f"mfdma-2d-theta{t:g}": lambda x, t=t: mfdma_fluctuations_2d(x, SCALES, QS, theta=t)
+       for t in (0.0, 0.5, 1.0)},
+    "mfdfa-2d": lambda x: mfdfa_fluctuations_2d(x, SCALES, QS),
+}
+
+
+@pytest.mark.parametrize("name", SURFACE_ESTIMATORS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_2d_fluctuations_do_not_change_under_transposition(name, data):
+    """Transposing a surface permutes its segments, so F_q(n) changes only by rounding."""
+    estimator = SURFACE_ESTIMATORS[name]
+    x = _normal_surface(data, 16, 40)
+    np.testing.assert_allclose(estimator(x.T).values, estimator(x).values, rtol=1e-11, atol=0)
