@@ -13,6 +13,7 @@ import json
 import math
 import re
 import typing
+import warnings
 from array import array
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -193,16 +194,6 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
             if not line.isascii() and (escaped := _ESCAPED_BYTE.search(line)):
                 problem = f"not UTF-8 text (byte {ord(escaped[0]) - 0xDC00:#04x})"
                 raise _line_error(path, line_no, problem)
-            if "," not in line and width in (None, 1):
-                # both column rules keep a comma-free line as its one token
-                try:
-                    value = float(line)
-                except ValueError:
-                    value = math.nan  # the row rules below name the problem
-                if math.isfinite(value):
-                    values.append(value)
-                    width = 1
-                    continue
             tokens = columns(line.split(","), path, line_no)
             try:
                 row = list(map(float, tokens))
@@ -222,6 +213,31 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
+def _numpy_rows(path, header: bool = False) -> np.ndarray | None:
+    """The rows of a valid file as numpy's C reader reads them, else None.
+
+    None leaves ``_read_rows`` to name the fault: numpy raised or warned (an
+    empty file warns), or read no value or one that is not finite.  ``header``
+    skips a comma-free line 1 that is not a number, as ``_read_rows`` does.
+    """
+    try:
+        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
+            first = handle.readline().strip()
+        skip = 0
+        if header and "," not in first:
+            try:
+                float(first)
+            except ValueError:
+                skip = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8-sig",
+                              ndmin=2, skiprows=skip)
+    except Exception:  # whatever numpy raised, _read_rows re-reads and names the fault
+        return None
+    return rows if rows.size and np.isfinite(rows).all() else None
+
+
 def _single_column(tokens, path, line_no):
     if len(tokens) > 1 and any(token.strip() for token in tokens[1:]):
         raise _line_error(path, line_no, f"expected a single column, got {len(tokens)} fields")
@@ -239,7 +255,10 @@ def ingest_series(path) -> Series:
     Any other bad row raises InputFormatError naming its line.
     """
     path = Path(path)
-    return Series(_read_rows(path, _single_column, header=True)[:, 0], name=path.name)
+    rows = _numpy_rows(path, header=True)
+    if rows is None or rows.shape[1] != 1:
+        rows = _read_rows(path, _single_column, header=True)
+    return Series(rows[:, 0], name=path.name)
 
 
 def ingest_surface(path) -> Surface:
@@ -248,7 +267,8 @@ def ingest_surface(path) -> Surface:
     One trailing comma per row is tolerated.
     """
     path = Path(path)
-    return Surface(_read_rows(path, _one_trailing_comma), name=path.name)
+    rows = _numpy_rows(path)
+    return Surface(_read_rows(path, _one_trailing_comma) if rows is None else rows, name=path.name)
 
 
 _CSV_CHUNK = 4096  # lines per piece: the whole series text never exists at once

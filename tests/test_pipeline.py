@@ -1,9 +1,12 @@
 import hashlib
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfdma import (
     AnalysisConfig,
@@ -61,6 +64,18 @@ def test_ingest_series_rejects_empty_and_nonfinite(tmp_path):
     bad.write_text("1\ninf\n")
     with pytest.raises(InputFormatError, match="line 2"):
         ingest_series(bad)
+
+
+@pytest.mark.parametrize("text", ["", "\n\n", "ret\n"])
+def test_a_file_without_values_warns_nothing(text, tmp_path):
+    # numpy's reader warns on a file without data; only the input error may surface
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(InputFormatError, match="no data rows"):
+            ingest_series(path)
+    assert caught == []
 
 
 def test_ingest_series_rejects_multicolumn_rows(tmp_path):
@@ -144,7 +159,6 @@ INGEST_CORPUS = {
     "non-utf8-header": ("series", b"r\xe9t\n1\n", _fails(1, "line 1: not UTF-8 text (byte 0xe9)")),
     "utf8-header": ("series", "rét\n0.5\n", [0.5]),
     "utf8-token": ("series", "1\n½\n", _fails(2, "line 2: not a number: '½'")),
-    # comma-free lines: one float() each, while the rows are one value wide
     "wide-row-after-comma-free-rows": ("surface", "1\n2,3\n", _fails(
         2, "line 2: ragged row, got 2 values, expected 1")),
     "one-column-surface": ("surface", "1\n2\n3\n", [[1.0], [2.0], [3.0]]),
@@ -155,23 +169,98 @@ INGEST_CORPUS = {
 }
 
 
+def _outcome(ingest, path):
+    """What ``ingest`` makes of ``path``: its values, or its input error."""
+    try:
+        values = ingest(path).values
+    except InputFormatError as exc:
+        return type(exc), str(exc), exc.line
+    return values.dtype.name, values.shape, values.tobytes()
+
+
+def _no_numpy_reader(*args, **kwargs):
+    raise RuntimeError("numpy's reader is switched off")
+
+
+def _both_readers(ingest, path):
+    """The outcome with numpy's reader in front, and with the Python reader alone."""
+    fast = _outcome(ingest, path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline.np, "loadtxt", _no_numpy_reader)
+        slow = _outcome(ingest, path)
+    return fast, slow
+
+
 @pytest.mark.parametrize("case", INGEST_CORPUS)
 def test_ingest_corpus(case, tmp_path):
     kind, text, expected = INGEST_CORPUS[case]
     path = tmp_path / "in.csv"
     path.write_bytes(text if isinstance(text, bytes) else text.encode())
-    ingest = ingest_series if kind == "series" else ingest_surface
+    fast, slow = _both_readers(ingest_series if kind == "series" else ingest_surface, path)
+    assert fast == slow
     if isinstance(expected, list):
-        values = ingest(path).values
-        assert values.dtype == np.float64
-        assert values.tobytes() == np.array(expected).tobytes()
-        assert values.shape == np.array(expected).shape
-        return
-    cls, message, line = expected
-    with pytest.raises(cls) as err:
-        ingest(path)
-    assert str(err.value) == f"{path}: {message}"
-    assert err.value.line == line
+        expected = np.array(expected)
+        assert fast == ("float64", expected.shape, expected.tobytes())
+    else:
+        cls, message, line = expected
+        assert fast == (cls, f"{path}: {message}", line)
+
+
+# lines drawn from a small alphabet, mostly not numbers
+_ODD_TOKENS = ["0", "1", "7", ".", "e", "-", ",", " ", "\r", "a", "x", "nan", "inf", "1e999"]
+_ODD_LINE = st.lists(st.sampled_from(_ODD_TOKENS), max_size=6).map("".join)
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+
+
+@st.composite
+def _ingest_texts(draw):
+    """Short files: odd lines, or rows of reprs with one odd line or stray comma mixed in."""
+    if draw(st.booleans()):
+        lines = draw(st.lists(_ODD_LINE, max_size=5))
+    else:
+        width = draw(st.integers(1, 3))
+        row = st.lists(_NUMBER, min_size=width, max_size=width).map(",".join)
+        lines = draw(st.lists(row, min_size=1, max_size=5))
+        i = draw(st.integers(0, len(lines) - 1))
+        lead, trail = draw(st.sampled_from(["", ",", ", "])), draw(st.sampled_from(["", ",", " ,"]))
+        lines[i] = lead + lines[i] + trail
+        if draw(st.booleans()):
+            lines.insert(draw(st.integers(0, len(lines))), draw(_ODD_LINE))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@pytest.fixture(scope="module")
+def scratch_csv(tmp_path_factory):
+    return tmp_path_factory.mktemp("parity") / "in.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_ingest_texts())
+def test_numpy_reader_agrees_with_the_python_reader(text, scratch_csv):
+    """numpy's reader may only return what the Python reader returns, under both column rules."""
+    scratch_csv.write_bytes(text.encode())
+    for ingest in (ingest_series, ingest_surface):
+        fast, slow = _both_readers(ingest, scratch_csv)
+        assert fast == slow
+
+
+def test_valid_files_never_reach_the_python_reader(tmp_path, monkeypatch):
+    """A broken numpy path would fall back silently; here the fallback fails instead."""
+    def python_reader(*args, **kwargs):
+        raise AssertionError("the Python reader ran")
+
+    monkeypatch.setattr(pipeline, "_read_rows", python_reader)
+    series = binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=8))
+    surface = cascade_measure_2d(CascadeSpec2D(weights=(0.1, 0.2, 0.3, 0.4), levels=4))
+    write_series_csv(series, tmp_path / "series.csv")
+    write_surface_csv(surface, tmp_path / "surface.csv")
+    text = (tmp_path / "series.csv").read_text()
+    (tmp_path / "headed.csv").write_text("ret\n" + text)
+    (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    for name in ("series.csv", "headed.csv", "crlf.csv"):
+        assert ingest_series(tmp_path / name).values.tobytes() == series.values.tobytes()
+    assert ingest_surface(tmp_path / "surface.csv").values.tobytes() == surface.values.tobytes()
 
 
 @pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffret\n1.5\n2.5\n3.5\n"])

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mfdma import (
+    DegenerateDataError,
     DegenerateSegmentError,
     DetrendConfig2D,
+    fit_scaling,
     mfdfa_fluctuations_1d,
     mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
@@ -18,20 +20,21 @@ from mfdma import (
 QS = [-3.0, -1.0, 0.0, 1.0, 3.0]
 SCALES = [3, 4]  # MFDFA needs n >= 3; the smallest inputs below have N/4 = 4
 ESTIMATORS = {
-    "mfdma-1d": (1, lambda x: mfdma_fluctuations_1d(x, SCALES, QS, theta=0.5)),
-    "mfdfa-1d": (1, lambda x: mfdfa_fluctuations_1d(x, SCALES, QS)),
-    "mfdma-2d": (2, lambda x: mfdma_fluctuations_2d(x, SCALES, QS, theta=0.5)),
-    "mfdfa-2d": (2, lambda x: mfdfa_fluctuations_2d(x, SCALES, QS)),
+    "mfdma-1d": (1, lambda x, scales=SCALES: mfdma_fluctuations_1d(x, scales, QS, theta=0.5)),
+    "mfdfa-1d": (1, lambda x, scales=SCALES: mfdfa_fluctuations_1d(x, scales, QS)),
+    "mfdma-2d": (2, lambda x, scales=SCALES: mfdma_fluctuations_2d(x, scales, QS, theta=0.5)),
+    "mfdfa-2d": (2, lambda x, scales=SCALES: mfdfa_fluctuations_2d(x, scales, QS)),
 }
 # magnitudes well inside the normal range, so multiplying by a power of two is exact
 ELEMENTS = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
 
 
-def _data(ndim):
+def _data(ndim, lo=16):
+    """Arrays of ELEMENTS with at least ``lo`` points along every axis."""
     if ndim == 1:
-        shape = st.integers(16, 64).map(lambda n: (n,))
+        shape = st.integers(lo, 64).map(lambda n: (n,))
     else:
-        shape = st.tuples(st.integers(16, 24), st.integers(16, 24))
+        shape = st.tuples(st.integers(lo, lo + 8), st.integers(lo, lo + 8))
     return arrays(np.float64, shape, elements=ELEMENTS)
 
 
@@ -57,6 +60,33 @@ def test_fluctuations_scale_with_the_data(name, data):
             assert scaled == base
         else:
             np.testing.assert_allclose(scaled, abs(c) * base, rtol=1e-12, atol=0)
+
+
+FIT_SCALES = [3, 4, 5]  # a fit needs 3 scales, so the inputs need N/4 >= 5
+
+
+def _h(ndim, estimator, x):
+    """h(q) over FIT_SCALES, or the error that leaves it undefined."""
+    try:
+        return fit_scaling(estimator(x, FIT_SCALES), fractal_dim=ndim).h
+    except (DegenerateSegmentError, DegenerateDataError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", ESTIMATORS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_h_does_not_change_under_a_global_rescale(name, data):
+    """ln F_q(c x) = ln |c| + ln F_q(x): the constant leaves every slope h(q) as it was."""
+    ndim, estimator = ESTIMATORS[name]
+    x = data.draw(_data(ndim, lo=4 * FIT_SCALES[-1]))
+    base = _h(ndim, estimator, x)
+    for c in (2.0**-3, -2.0, 8.0):
+        scaled = _h(ndim, estimator, c * x)
+        if isinstance(base, tuple):
+            assert scaled == base
+        else:
+            np.testing.assert_allclose(scaled, base, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ESTIMATORS)
