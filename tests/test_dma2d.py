@@ -107,10 +107,13 @@ def test_window_aggregates_rolling_refresh_long_second_axis_slide(rng):
 
 
 @pytest.mark.parametrize("axis", [0, 1])
-@pytest.mark.parametrize("slides", [RECOMPUTE_EVERY - 1, RECOMPUTE_EVERY, RECOMPUTE_EVERY + 1])
+@pytest.mark.parametrize(
+    "slides", [2 * RECOMPUTE_EVERY - 1, 2 * RECOMPUTE_EVERY, 2 * RECOMPUTE_EVERY + 1]
+)
 def test_window_aggregates_at_the_refresh_edges(rng, axis, slides):
-    # `slides` window positions along `axis`: one chunk one short of full, one full
-    # chunk, or a full chunk plus a lone exactly recomputed position
+    # `slides` window positions along `axis`: a full chunk and then a second one
+    # short of full, two full chunks, or two full chunks plus a lone exactly
+    # recomputed position
     n1, n2 = 3, 4
     shape = [6, 7]
     shape[axis] = slides + (n1, n2)[axis] - 1
