@@ -116,7 +116,12 @@ def profile(series) -> np.ndarray:
     return _compensated_cumsum(_as_values(series, 1, min_side=1))
 
 
-def moving_average(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarray:
+def _take(buffer, shape) -> np.ndarray:
+    """A fresh array of ``shape``, or a C-contiguous view at the start of the flat ``buffer``."""
+    return np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+
+
+def moving_average(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) -> np.ndarray:
     """Moving average of the profile inside the theta-positioned window.
 
     The window at position t covers ceil((n-1)*(1-theta)) samples behind
@@ -127,25 +132,39 @@ def moving_average(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarray
     suffix of one length-n block plus a prefix of the next, both read off
     block-local cumulative sums, so no rounded sum spans more than n
     points; per-segment F_v match the sliding n-point mean to rtol 1e-9.
+
+    ``out``, if given, is a pair of flat float buffers for the block sums,
+    (N//n + 1) * (n + 1) values, and the averages; the result is a view of the second.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
     if n > y.size:
         raise ValidationError(f"window size {n} exceeds series length {y.size}")
-    blocks = np.pad(y, (0, n - y.size % n)).reshape(-1, n)
-    sums = np.cumsum(np.pad(blocks, ((0, 0), (1, 0))), axis=1)  # column 0: empty prefix
-    windows = (sums[:-1, -1:] - sums[:-1, :-1]) + sums[1:, :-1]
-    return windows.reshape(-1)[: y.size - n + 1] / n
+    count = y.size // n  # whole blocks; the zero-padded partial one follows
+    sums_buffer, windows_buffer = out or (None, None)
+    sums = _take(sums_buffer, (count + 1, n + 1))
+    sums[:, 0] = sums[-1] = 0.0  # column 0: empty prefix
+    sums[:-1, 1:] = y[:count * n].reshape(count, n)
+    sums[-1, 1:y.size - count * n + 1] = y[count * n:]
+    np.cumsum(sums, axis=1, out=sums)
+    windows = _take(windows_buffer, (count, n))
+    np.subtract(sums[:-1, -1:], sums[:-1, :-1], out=windows)
+    windows += sums[1:, :-1]
+    means = windows.reshape(-1)[: y.size - n + 1]
+    return np.divide(means, n, out=means)
 
 
-def residual_series(profile_values: np.ndarray, cfg: DetrendConfig) -> np.ndarray:
-    """Residuals y(i) - ytilde(i) over the defined domain, length N - n + 1."""
+def residual_series(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) -> np.ndarray:
+    """Residuals y(i) - ytilde(i) over the defined domain, length N - n + 1.
+
+    ``out`` is passed to :func:`moving_average`, whose averages the residuals overwrite.
+    """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
-    means = moving_average(y, cfg)
+    means = moving_average(y, cfg, out=out)
     future = cfg.future_points
     # domain of i is [n - future, N - future] (1-based)
-    return y[n - future - 1: y.size - future] - means
+    return np.subtract(y[n - future - 1: y.size - future], means, out=means)
 
 
 def _blocks(x: np.ndarray, n: int) -> np.ndarray:
@@ -154,18 +173,20 @@ def _blocks(x: np.ndarray, n: int) -> np.ndarray:
     return x[tuple(slice(c * n) for c in counts)].reshape([d for c in counts for d in (c, n)])
 
 
-def segment_rms(residuals: np.ndarray, n: int) -> SegmentFluctuations:
+def segment_rms(residuals: np.ndarray, n: int, *, out=None) -> SegmentFluctuations:
     """RMS over disjoint blocks of side n of a residual series or matrix.
 
     Each axis is cut into ``side // n`` whole blocks and the remainder is
-    dropped; a matrix's blocks are listed in row-major order.
+    dropped; a matrix's blocks are listed in row-major order.  The squares
+    go to ``out``, an array shaped like ``residuals`` (which may be
+    ``residuals`` itself), or else to a fresh array.
     """
     eps = np.asarray(residuals, dtype=float)
     n = int(n)
     if n < 1 or n > min(eps.shape, default=0):
         raise ValidationError(f"block side {n} invalid for residual shape {eps.shape}")
-    blocks = _blocks(eps, n)
-    rms = np.sqrt(np.mean(blocks**2, axis=tuple(range(1, blocks.ndim, 2))))
+    squares = _blocks(np.square(eps, out=out), n)
+    rms = np.sqrt(np.mean(squares, axis=tuple(range(1, squares.ndim, 2))))
     return SegmentFluctuations(rms.ravel(), scale=n)
 
 
@@ -255,9 +276,15 @@ def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> Fluctuation
     values = _as_values(series, 1)
     grid = _validate_scales(scales, values.shape)
     y = _compensated_cumsum(values)
-    return _fluctuation_table(
-        grid, qs, lambda n: segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values
-    )
+    # one workspace for the pass: the largest scale has the most block sums
+    sums = max((y.size // n + 1) * (n + 1) for n in grid.values.tolist())
+    workspace = (np.empty(sums), np.empty(y.size))
+
+    def rms_at(n):
+        resid = residual_series(y, DetrendConfig(n, theta), out=workspace)
+        return segment_rms(resid, n, out=resid).values
+
+    return _fluctuation_table(grid, qs, rms_at)
 
 
 def _polynomial_residuals(segments: np.ndarray, order: int) -> np.ndarray:

@@ -17,7 +17,8 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .spectrum import FluctuationTable
-from .dma1d import _as_values, _blocks, _fluctuation_table, _validate_scales
+from .dma1d import _as_values, _blocks, _fluctuation_table, _take, _validate_scales
+from .generators import Surface
 # perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
 # power means run in dma1d._fluctuation_table and are counted as dma1d.power_mean
 from .dma1d import _power_mean  # noqa: F401
@@ -82,35 +83,27 @@ class WindowAggregates2D:
     n2: int
 
 
-def _row_sums(x: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sliding flat and descending-ramp sums along axis 0.
+def _row_sums(x: np.ndarray, n: int, S: np.ndarray, T: np.ndarray) -> None:
+    """Sliding flat and descending-ramp sums along axis 0, into every row of S and T.
 
-    Returns (S, T) with S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a].
-    Their steps, x[j+n-1] - x[j-1] and S[j] - n*x[j-1], are formed as whole-array
-    ops in the outputs, then carried down the rows by one in-place add per row.
+    S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a], each from its exact
+    first row.  The steps, x[j+n-1] - x[j-1] and S[j] - n*x[j-1], are formed as
+    whole-array ops in place, then carried down the rows by one in-place add per row.
     """
-    count = x.shape[0] - n + 1
-    starts = range(0, count, RECOMPUTE_EVERY)
-    S = np.empty((count, x.shape[1]))
-    T = np.empty_like(S)
-    np.subtract(x[n:], x[:count - 1], out=S[1:])
-    _carry_rows(S, [x[j:j + n].sum(axis=0) for j in starts])
+    count = len(S)
+    S[0] = x[:n].sum(axis=0)
+    np.subtract(x[n:n + count - 1], x[:count - 1], out=S[1:])
+    for j in range(1, count):
+        np.add(S[j - 1], S[j], out=S[j])
     np.multiply(x[:count - 1], -float(n), out=T[1:])
     T[1:] += S[1:]
-    _carry_rows(T, [np.arange(n, 0, -1, dtype=float) @ x[j:j + n] for j in starts])
-    return S, T
+    T[0] = np.arange(n, 0, -1, dtype=float) @ x[:n]
+    for j in range(1, count):
+        np.add(T[j - 1], T[j], out=T[j])
 
 
-def _carry_rows(steps: np.ndarray, firsts: list) -> None:
-    """Row steps to running sums in place: an add per row, each chunk from its exact first row."""
-    for start, first in zip(range(0, len(steps), RECOMPUTE_EVERY), firsts):
-        steps[start] = first
-        for j in range(start + 1, min(start + RECOMPUTE_EVERY, len(steps))):
-            np.add(steps[j - 1], steps[j], out=steps[j])
-
-
-def _column_sums(x: np.ndarray, n: int, ramp: bool) -> np.ndarray:
-    """Sliding flat sums along axis 1 or, with ``ramp``, descending-ramp sums.
+def _column_sums(x: np.ndarray, n: int, ramp: bool, out: np.ndarray) -> None:
+    """Sliding flat sums along axis 1 or, with ``ramp``, descending-ramp sums, into ``out``.
 
     The steps, x[:, k+n-1] - x[:, k-1] and then for the ramp F[:, k] - n*x[:, k-1]
     from the flat sums F, are formed in the output and carried along the C-contiguous
@@ -118,7 +111,6 @@ def _column_sums(x: np.ndarray, n: int, ramp: bool) -> np.ndarray:
     """
     count = x.shape[1] - n + 1
     starts = range(0, count, RECOMPUTE_EVERY)
-    out = np.empty((x.shape[0], count))
     np.subtract(x[:, n:], x[:, :count - 1], out=out[:, 1:])
     _carry_columns(out, [x[:, k:k + n].sum(axis=1) for k in starts])
     if ramp:
@@ -127,7 +119,6 @@ def _column_sums(x: np.ndarray, n: int, ramp: bool) -> np.ndarray:
         steps *= -float(n)
         out[:, 1:] += steps
         _carry_columns(out, firsts)
-    return out
 
 
 def _carry_columns(steps: np.ndarray, firsts: list) -> None:
@@ -138,17 +129,24 @@ def _carry_columns(steps: np.ndarray, firsts: list) -> None:
         np.cumsum(block, axis=1, out=block)
 
 
-def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
+def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None) -> WindowAggregates2D:
     """Window sums and cumulative-sum means for every sliding window.
 
     For the n1 x n2 sub-matrix Z at each position, ``total`` is the plain
     sum of Z and ``cummean`` is the mean over all entries of the 2-d
     cumulative sum of Z.  The latter reduces to a separable weighted sum,
-    weight (n1 - a) * (n2 - b) at offset (a, b) inside the window.  One
-    rolling pass down the rows gives the flat and ramp sums over n1; one
-    pass along the rows of each gives the flat (total) and ramp (cummean)
-    sums over n2.  No pass copies or transposes the surface, and both
-    refresh exactly every RECOMPUTE_EVERY steps to bound drift.
+    weight (n1 - a) * (n2 - b) at offset (a, b) inside the window.  The
+    flat and ramp sums over n1 are rolled down one strip of RECOMPUTE_EVERY
+    rows at a time, each from its exact first row, into two strip-sized
+    arrays; one pass along the rows of each writes the flat (total) and
+    ramp (cummean) sums over n2 straight into those rows of the results.
+    No pass copies or transposes the surface, and both refresh exactly
+    every RECOMPUTE_EVERY steps to bound drift.
+
+    ``out``, if given, holds four flat float buffers: ``total`` and
+    ``cummean`` are views at the starts of the first two, each at least
+    (N1 - n1 + 1) * (N2 - n2 + 1) long, and the strips are views into the
+    other two, each at least min(N1 - n1 + 1, RECOMPUTE_EVERY) * N2 long.
     """
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
@@ -156,20 +154,27 @@ def window_aggregates(surface, cfg: DetrendConfig2D) -> WindowAggregates2D:
         raise ValidationError(
             f"window {n1}x{n2} does not fit surface of shape {values.shape}"
         )
-    S1, T1 = _row_sums(values, n1)
-    total = _column_sums(S1, n2, ramp=False)
-    del S1  # freed before the ramp pass, which bounds peak memory at three passes
-    cummean = _column_sums(T1, n2, ramp=True)
+    shape = (values.shape[0] - n1 + 1, values.shape[1] - n2 + 1)
+    strip = (min(shape[0], RECOMPUTE_EVERY), values.shape[1])
+    total, cummean, flat, ramp = map(_take, out or (None,) * 4, (shape, shape, strip, strip))
+    for start in range(0, shape[0], RECOMPUTE_EVERY):
+        S, T = flat[:shape[0] - start], ramp[:shape[0] - start]
+        _row_sums(values[start:], n1, S, T)
+        _column_sums(S, n2, False, total[start:start + len(S)])
+        _column_sums(T, n2, True, cummean[start:start + len(T)])
     cummean /= float(n1 * n2)
     return WindowAggregates2D(total=total, cummean=cummean, n1=n1, n2=n2)
 
 
-def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> np.ndarray:
+def residual_matrix_2d(
+    aggregates: WindowAggregates2D, cfg: DetrendConfig2D, *, out=None
+) -> np.ndarray:
     """Residual matrix: window sums minus theta-shifted window means.
 
     With shift d_a = min(floor(n_a * theta), n_a - 1) per axis, the
     residual at (j1, j2) is total(j1, j2) - cummean(j1 + d1, j2 + d2); the
-    output shrinks by exactly d_a along axis a.
+    output shrinks by exactly d_a along axis a.  It is written to ``out``,
+    if given, which may be the leading corner of ``aggregates.total``.
     """
     if (aggregates.n1, aggregates.n2) != (cfg.n1, cfg.n2):
         raise ValidationError(
@@ -178,9 +183,10 @@ def residual_matrix_2d(aggregates: WindowAggregates2D, cfg: DetrendConfig2D) -> 
         )
     d1, d2 = cfg.shifts
     rows, cols = aggregates.total.shape
-    return (
-        aggregates.total[: rows - d1, : cols - d2]
-        - aggregates.cummean[d1:, d2:]
+    return np.subtract(
+        aggregates.total[: rows - d1, : cols - d2],
+        aggregates.cummean[d1:, d2:],
+        out=out,
     )
 
 
@@ -197,12 +203,21 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     Raises:
         DegenerateSegmentError: zero-RMS block met a moment q <= 0.
     """
+    # a Surface is checked once here, not again by every window_aggregates call
+    surface = surface if isinstance(surface, Surface) else Surface(surface)
     values = _as_values(surface, 2)
     grid = _validate_scales(scales, values.shape)
+    # one workspace for the pass: the smallest scale has the most windows
+    rows, cols = (side - int(grid.values[0]) + 1 for side in values.shape)
+    strip = min(rows, RECOMPUTE_EVERY) * values.shape[1]
+    workspace = tuple(np.empty(size) for size in (rows * cols, rows * cols, strip, strip))
 
     def rms_at(n):
         cfg = DetrendConfig2D(n, n, theta)
-        return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
+        aggregates = window_aggregates(surface, cfg, out=workspace)
+        corner = tuple(slice(side - d) for side, d in zip(aggregates.total.shape, cfg.shifts))
+        resid = residual_matrix_2d(aggregates, cfg, out=aggregates.total[corner])
+        return segment_rms_2d(resid, n, out=resid).values
 
     return _fluctuation_table(grid, qs, rms_at)
 

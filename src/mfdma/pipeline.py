@@ -213,26 +213,36 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
+def _without_trailing_comma(lines):
+    """``lines``, each without one comma right before its end unless it would go blank."""
+    for line in lines:
+        body = line[:-1] if line.endswith("\n") else line
+        yield body[:-1] if body.endswith(",") and body[:-1].strip() else line
+
+
 def _numpy_rows(path, header: bool = False) -> np.ndarray | None:
     """The rows of a valid file as numpy's C reader reads them, else None.
 
     None leaves ``_read_rows`` to name the fault: numpy raised or warned (an
     empty file warns), or read no value or one that is not finite.  ``header``
     skips a comma-free line 1 that is not a number, as ``_read_rows`` does.
+    If line 1 ends with a comma, numpy reads every line without its trailing one.
     """
     try:
         with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
             first = handle.readline().strip()
-        skip = 0
-        if header and "," not in first:
-            try:
-                float(first)
-            except ValueError:
-                skip = 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8-sig",
-                              ndmin=2, skiprows=skip)
+            skip = 0
+            if header and "," not in first:
+                try:
+                    float(first)
+                except ValueError:
+                    skip = 1
+            handle.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rows = np.loadtxt(_without_trailing_comma(handle) if first.endswith(",") else path,
+                                  delimiter=",", comments=None, encoding="utf-8-sig", ndmin=2,
+                                  skiprows=skip)
     except Exception:  # whatever numpy raised, _read_rows re-reads and names the fault
         return None
     return rows if rows.size and np.isfinite(rows).all() else None

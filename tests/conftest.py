@@ -20,3 +20,26 @@ def cascade_k10():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(module, *names)`` wraps each named function in a counting wrapper.
+
+    Returns the live call counts by name, one dict shared by every call.
+    """
+    counts = {}
+
+    def wrap(module, *names):
+        for name in names:
+            fn = getattr(module, name)
+            counts[name] = 0
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    return wrap

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mfdma import (
 )
 from mfdma import dma1d
 from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
+from mfdma.spectrum import as_scale_grid
 from reference import exact_window_mean, scalar_power_mean, window_mean
 
 
@@ -102,7 +104,7 @@ def _oracle_fv(monkeypatch, y, n, theta, mean=window_mean):
     cfg = DetrendConfig(n, theta)
     fast = segment_rms(residual_series(y, cfg), n).values
     with monkeypatch.context() as patch:
-        patch.setattr(dma1d, "moving_average", lambda values, c: mean(values, c.n))
+        patch.setattr(dma1d, "moving_average", lambda values, c, out: mean(values, c.n))
         slow = segment_rms(residual_series(y, cfg), n).values
     return fast, slow
 
@@ -369,6 +371,68 @@ def test_reversed_backward_matches_forward(rng):
     f_fwd = np.sort(segment_rms(fwd[:overlap], n).values)
     f_rev = np.sort(segment_rms(rev[:overlap], n).values)
     assert np.allclose(f_fwd, f_rev, rtol=1e-9)
+
+
+# ------------------------------------------------------------ workspace
+
+WORKSPACE_QS = [-3.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "scales",
+    [build_scale_grid(4, 2501, 20).values.tolist(), [2501], [3]],
+    ids=["up-to-N/4", "one-scale-N/4", "one-scale-3"],
+)
+def test_pass_workspace_is_bitwise_the_allocating_functions(theta, scales):
+    # N = 10,007 is prime, so no scale divides it
+    values = gaussian_noise(10_007, seed=3).values
+    y = profile(values)
+    expected = dma1d._fluctuation_table(
+        as_scale_grid(scales), WORKSPACE_QS,
+        lambda n: segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values,
+    )
+    table = mfdma_fluctuations_1d(values, scales, WORKSPACE_QS, theta)
+    assert table.values.tobytes() == expected.values.tobytes()
+
+
+def test_calls_without_out_return_fresh_arrays_and_keep_their_input(rng):
+    y = profile(rng.standard_normal(1000))
+    kept = y.copy()
+    cfg = DetrendConfig(10, 0.5)
+    for fn in (moving_average, residual_series):
+        first, second = fn(y, cfg), fn(y, cfg)
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, y)
+    resid = residual_series(y, cfg)
+    kept_resid = resid.copy()
+    first, second = segment_rms(resid, 10).values, segment_rms(resid, 10).values
+    assert not np.shares_memory(first, second)
+    assert np.array_equal(y, kept)
+    assert np.array_equal(resid, kept_resid)
+
+
+def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
+    # perfbench/tracing.py times the layers through these names; a pass
+    # that bypassed them would read 0 there
+    counts = count_calls(dma1d, "residual_series", "segment_rms", "_power_mean")
+    scales = [4, 9, 20, 50]
+    mfdma_fluctuations_1d(gaussian_noise(200, seed=1), scales, [-1.0, 2.0], theta=0.5)
+    assert counts == dict.fromkeys(counts, len(scales))
+
+
+def test_pass_peak_memory():
+    # the profile, one block-sum and one window buffer for the pass; the
+    # per-scale temporaries these replace took the peak to 5.3x
+    values = gaussian_noise(2**16, seed=5).values
+    scales = build_scale_grid(10, 2**14, 20)
+    tracemalloc.start()
+    try:
+        mfdma_fluctuations_1d(values, scales, [-2.0, 0.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * values.nbytes
 
 
 # ------------------------------------------------------------ mfdfa 1d

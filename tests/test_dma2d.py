@@ -16,6 +16,7 @@ from mfdma import (
     segment_rms_2d,
     window_aggregates,
 )
+from mfdma import dma1d, dma2d
 from mfdma.dma2d import RECOMPUTE_EVERY, _plane_residuals
 
 
@@ -127,7 +128,7 @@ def test_window_aggregates_at_the_refresh_edges(rng, axis, slides):
 
 @pytest.mark.parametrize("n", [2, 8])
 def test_window_aggregates_peak_memory(rng, n):
-    # both outputs plus one first-axis pass; no transposed copies
+    # both outputs plus two strips of RECOMPUTE_EVERY rows; no transposed copies
     values = rng.standard_normal((512, 512))
     tracemalloc.start()
     try:
@@ -135,7 +136,19 @@ def test_window_aggregates_peak_memory(rng, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * values.nbytes
+    assert peak <= 3.0 * values.nbytes
+
+
+def test_window_aggregates_return_fresh_arrays_and_keep_their_input(rng):
+    values = rng.standard_normal((40, 50))
+    kept = values.copy()
+    cfg = DetrendConfig2D(4, 4)
+    first, second = window_aggregates(values, cfg), window_aggregates(values, cfg)
+    for a in (first.total, first.cummean):
+        for b in (second.total, second.cummean, values):
+            assert not np.shares_memory(a, b)
+    assert not np.shares_memory(first.total, first.cummean)
+    assert np.array_equal(values, kept)
 
 
 def test_window_aggregates_reject_oversize_window():
@@ -246,6 +259,48 @@ def test_mfdma2d_transpose_symmetry(rng):
         a = mfdma_fluctuations_2d(dyadic, [2, 4, 8], [-1.0, 0.0, 2.0], theta=theta)
         b = mfdma_fluctuations_2d(dyadic.T, [2, 4, 8], [-1.0, 0.0, 2.0], theta=theta)
         assert np.allclose(a.values, b.values, rtol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind", ["noise-300x517", "dyadic-256x256"])
+def test_pass_workspace_is_bitwise_the_allocating_functions(rng, kind, theta):
+    if kind.startswith("noise"):
+        values, scales = rng.standard_normal((300, 517)), build_scale_grid(2, 75, 10)
+    else:
+        values, scales = dyadic_surface(rng, (256, 256)), build_scale_grid(2, 64, 8)
+    qs = [-3.0, 0.0, 2.0]
+
+    def rms_at(n):
+        cfg = DetrendConfig2D(n, n, theta)
+        return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
+
+    expected = dma1d._fluctuation_table(scales, qs, rms_at)
+    table = mfdma_fluctuations_2d(values, scales, qs, theta)
+    assert table.values.tobytes() == expected.values.tobytes()
+
+
+def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
+    # perfbench/tracing.py times the layers through these names; a pass
+    # that bypassed them would read 0 there
+    counts = count_calls(dma2d, "window_aggregates", "residual_matrix_2d", "segment_rms_2d")
+    count_calls(dma1d, "_power_mean")
+    scales = [2, 4, 8]
+    mfdma_fluctuations_2d(np.random.default_rng(1).random((40, 36)), scales, [-1.0, 2.0], 0.5)
+    assert counts == dict.fromkeys(counts, len(scales))
+
+
+def test_pass_peak_memory(rng):
+    # the window sums and means of the smallest scale and two strips, for the
+    # whole pass; the residual and its squares overwrite the window sums
+    values = rng.standard_normal((512, 512))
+    scales = build_scale_grid(4, 128, 10)
+    tracemalloc.start()
+    try:
+        mfdma_fluctuations_2d(values, scales, [-2.0, 0.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * values.nbytes
 
 
 def test_mfdma2d_scale_cap_is_enforced():

@@ -166,6 +166,17 @@ INGEST_CORPUS = {
     "series-extremes": ("series", "-0.0\n5e-324\n1e308\n", [-0.0, 5e-324, 1e308]),
     "non-finite-comma-free-line-3": ("series", "1\n2\n 1e999 \n", _fails(
         3, "line 3: non-finite value '1e999'")),
+    # a line 1 ending in a comma has numpy read every line without one trailing comma
+    "commas-only-series": ("series", ",,", _fails(None, "no data rows")),
+    "commas-only-surface": ("surface", ",,", _fails(1, "line 1: not a number: ''")),
+    "trailing-comma-on-line-1-only": ("surface", "1,2,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+    "trailing-comma-without-final-newline-surface": (
+        "surface", "1,2,\n3,4,", [[1.0, 2.0], [3.0, 4.0]]),
+    "trailing-comma-without-final-newline-series": ("series", "1,\n2,", [1.0, 2.0]),
+    "comma-only-line-after-trailing-commas": ("surface", "1,2,\n,\n3,4,\n", _fails(
+        2, "line 2: not a number: ''")),
+    "blank-comma-line-after-trailing-commas": ("series", "1,\n ,\n2,\n", _fails(
+        2, "line 2: not a number: ''")),
 }
 
 
@@ -258,9 +269,13 @@ def test_valid_files_never_reach_the_python_reader(tmp_path, monkeypatch):
     text = (tmp_path / "series.csv").read_text()
     (tmp_path / "headed.csv").write_text("ret\n" + text)
     (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
-    for name in ("series.csv", "headed.csv", "crlf.csv"):
+    (tmp_path / "commas.csv").write_bytes(text.replace("\n", ",\r\n").encode())
+    surface_text = (tmp_path / "surface.csv").read_text()
+    (tmp_path / "surface-commas.csv").write_text(surface_text.replace("\n", ",\n"))
+    for name in ("series.csv", "headed.csv", "crlf.csv", "commas.csv"):
         assert ingest_series(tmp_path / name).values.tobytes() == series.values.tobytes()
-    assert ingest_surface(tmp_path / "surface.csv").values.tobytes() == surface.values.tobytes()
+    for name in ("surface.csv", "surface-commas.csv"):
+        assert ingest_surface(tmp_path / name).values.tobytes() == surface.values.tobytes()
 
 
 @pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffret\n1.5\n2.5\n3.5\n"])
