@@ -190,13 +190,14 @@ def segment_rms(residuals: np.ndarray, n: int, *, out=None) -> SegmentFluctuatio
     return SegmentFluctuations(rms.ravel(), scale=n)
 
 
-def _power_mean(values: np.ndarray, qs, scale) -> np.ndarray:
+def _power_mean(values: np.ndarray, qs, scale, *, out=None) -> np.ndarray:
     """q-order power means of positive values over a q grid; geometric at q = 0.
 
     Zero values make every moment q <= 0 undefined; the error names the
-    scale and the smallest such q.  The logarithms are taken once, and each
-    q is a log-sum-exp over them, one q at a time so that no
-    (q x segments) array is ever held.
+    scale and the smallest such q.  The logarithms are taken once; each q
+    is a log-sum-exp over them, formed for a block of q rows at a time in
+    ``out``, a flat float buffer holding at least one row of
+    ``values.size``, or for every q at once in a fresh array.
     """
     qs = np.asarray(qs, dtype=float)
     q_low = float(qs.min())
@@ -210,15 +211,19 @@ def _power_mean(values: np.ndarray, qs, scale) -> np.ndarray:
         return np.zeros(qs.size)
     with np.errstate(divide="ignore"):  # zeros allowed for q > 0
         log_values = np.log(values)
-    out = np.empty(qs.size)
-    for j, q in enumerate(qs.tolist()):
-        if q == 0:
-            out[j] = np.exp(np.mean(log_values))
-        else:
-            logs = q * log_values
-            peak = logs.max()
-            out[j] = np.exp((peak + np.log(np.mean(np.exp(logs - peak)))) / q)
-    return out
+    means = np.empty(qs.size)
+    rows = qs.size if out is None else max(1, out.size // values.size)
+    for start in range(0, qs.size, rows):
+        q = qs[start:start + rows]
+        logs = np.multiply(q[:, None], log_values, out=_take(out, (q.size, values.size)))
+        peak = logs.max(axis=1, keepdims=True)
+        logs -= peak
+        block = np.log(np.exp(logs, out=logs).mean(axis=1))
+        block += peak[:, 0]
+        np.divide(block, q, out=block, where=q != 0)
+        np.exp(block, out=means[start:start + rows])
+    means[qs == 0] = np.exp(np.mean(log_values))
+    return means
 
 
 def overall_fluctuation(segments: SegmentFluctuations, q: float) -> float:
@@ -243,16 +248,17 @@ def _validate_scales(scales, shape):
     return grid
 
 
-def _fluctuation_table(grid, qs, segment_rms_at) -> FluctuationTable:
+def _fluctuation_table(grid, qs, segment_rms_at, scratch=None) -> FluctuationTable:
     """F_q(n) at every scale of ``grid``: the scale loop all estimators share.
 
     ``segment_rms_at(n)`` returns the per-segment RMS values F_v(n) of one
-    estimator at scale n; each row of the table is their power means.
+    estimator at scale n; each row of the table is their power means,
+    formed in ``scratch``, if given: a flat buffer free once F_v(n) exists.
     """
     qgrid = as_q_grid(qs)
     table = np.empty((len(grid), len(qgrid)))
     for i, n in enumerate(grid.values.tolist()):
-        table[i] = _power_mean(segment_rms_at(n), qgrid.values, n)
+        table[i] = _power_mean(segment_rms_at(n), qgrid.values, n, out=scratch)
     return FluctuationTable(grid, qgrid, table)
 
 
@@ -284,14 +290,15 @@ def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> Fluctuation
         resid = residual_series(y, DetrendConfig(n, theta), out=workspace)
         return segment_rms(resid, n, out=resid).values
 
-    return _fluctuation_table(grid, qs, rms_at)
+    return _fluctuation_table(grid, qs, rms_at, workspace[1])
 
 
-def _polynomial_residuals(segments: np.ndarray, order: int) -> np.ndarray:
+def _polynomial_residuals(segments: np.ndarray, order: int, *, out=None) -> np.ndarray:
     """Residuals of per-segment least-squares polynomial fits.
 
     segments has shape (count, n).  order == 1 uses the explicit centered
-    normal equations, which detrend exactly-linear data to exact zeros.
+    normal equations, which detrend exactly-linear data to exact zeros, and
+    writes the residuals to ``out``, a flat float buffer, if given.
     """
     count, n = segments.shape
     u = np.arange(n, dtype=float)
@@ -299,7 +306,8 @@ def _polynomial_residuals(segments: np.ndarray, order: int) -> np.ndarray:
         uc = u - u.mean()
         denom = float(np.dot(uc, uc))
         slope = segments @ uc / denom
-        return segments - segments.mean(axis=1)[:, None] - slope[:, None] * uc
+        resid = np.subtract(segments, segments.mean(axis=1)[:, None], out=_take(out, (count, n)))
+        return np.subtract(resid, slope[:, None] * uc, out=resid)
     vander = np.vander(u / (n - 1), order + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(vander, segments.T, rcond=None)
     return segments - (vander @ coef).T
@@ -321,9 +329,10 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
             f"smallest scale {grid.values[0]} must be at least order + 2 = {order + 2}"
         )
     y = _compensated_cumsum(values)
+    workspace = np.empty(y.size)  # the residuals and squares, then the power means
 
     def rms_at(n):
-        resid = _polynomial_residuals(_blocks(y, n), order)
-        return np.sqrt(np.mean(resid**2, axis=1))
+        resid = _polynomial_residuals(_blocks(y, n), order, out=workspace)
+        return np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
 
-    return _fluctuation_table(grid, qs, rms_at)
+    return _fluctuation_table(grid, qs, rms_at, workspace)

@@ -219,7 +219,7 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
         resid = residual_matrix_2d(aggregates, cfg, out=aggregates.total[corner])
         return segment_rms_2d(resid, n, out=resid).values
 
-    return _fluctuation_table(grid, qs, rms_at)
+    return _fluctuation_table(grid, qs, rms_at, workspace[0])
 
 
 def _plane_residuals(blocks: np.ndarray) -> np.ndarray:
@@ -253,10 +253,14 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
     """
     values = _as_values(surface, 2)
     grid = _validate_scales(scales, values.shape)
+    workspace = np.empty(values.size)  # the cumulative sums, then the power means
 
     def rms_at(n):
-        blocks = _blocks(values, n).transpose(0, 2, 1, 3)
-        resid = _plane_residuals(blocks.cumsum(axis=2).cumsum(axis=3))
-        return np.sqrt(np.mean(resid**2, axis=(2, 3))).ravel()
+        cut = _blocks(values, n)
+        # the cut's own (c1, n, c2, n) layout, which fixes the einsum order of the fit
+        sums = _take(workspace, cut.shape).transpose(0, 2, 1, 3)
+        np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=sums)
+        resid = _plane_residuals(np.cumsum(sums, axis=3, out=sums))
+        return np.sqrt(np.mean(np.square(resid, out=resid), axis=(2, 3))).ravel()
 
-    return _fluctuation_table(grid, qs, rms_at)
+    return _fluctuation_table(grid, qs, rms_at, workspace)

@@ -440,9 +440,17 @@ def csv_table(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _plot_block(title, xs, ys) -> str:
-    """A gnuplot two-column block: a ``# title`` line, then one ``x y`` line per point."""
-    return f"# {title}\n" + "".join(f"{float(x)!r} {float(y)!r}\n" for x, y in zip(xs, ys))
+def _reprs(values) -> list:
+    """The full-precision text of each value, as a list of strings."""
+    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+
+
+def _plot_block(title, x_text, ys) -> str:
+    """A gnuplot two-column block: a ``# title`` line, then one ``x y`` line per point.
+
+    ``x_text`` is the x column as :func:`_reprs` gives it, so blocks that share it format it once.
+    """
+    return f"# {title}\n" + "".join(f"{x} {y}\n" for x, y in zip(x_text, _reprs(ys)))
 
 
 def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=None):
@@ -478,18 +486,19 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
         }
 
     else:  # plot-data
-        ln_n = np.log(bundle.table.scales.values.astype(float))
+        ln_n, qs = _reprs(np.log(bundle.table.scales.values.astype(float))), _reprs(est.qs.values)
         files = {
             "fq_vs_n.dat": "".join(
                 _plot_block(f"q = {q:g}", ln_n, np.log(bundle.table.values[:, j])) + "\n"
                 for j, q in enumerate(bundle.table.qs.values)
             ),
-            "tau_vs_q.dat": _plot_block("tau(q)", est.qs.values, est.tau),
+            "tau_vs_q.dat": _plot_block("tau(q)", qs, est.tau),
         }
         if tau_reference is not None:
             dtau = tau_error(est, tau_reference)
-            files["dtau_vs_q.dat"] = _plot_block("tau(q) - tau_reference(q)", est.qs.values, dtau)
-        files["f_vs_alpha.dat"] = _plot_block("f(alpha)", bundle.spectrum.alpha, bundle.spectrum.f)
+            files["dtau_vs_q.dat"] = _plot_block("tau(q) - tau_reference(q)", qs, dtau)
+        alpha = _reprs(bundle.spectrum.alpha)
+        files["f_vs_alpha.dat"] = _plot_block("f(alpha)", alpha, bundle.spectrum.f)
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

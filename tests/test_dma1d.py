@@ -258,8 +258,8 @@ def test_q_grid_power_mean_is_bitwise_the_scalar_loop(
 ):
     calls = []
 
-    def spy(values, qs, scale):
-        out = _power_mean(values, qs, scale)
+    def spy(values, qs, scale, **kwargs):
+        out = _power_mean(values, qs, scale, **kwargs)
         calls.append((values, scale, out))
         return out
 
@@ -291,6 +291,31 @@ def test_q_grid_zero_segment_is_allowed_for_positive_q():
     out = _power_mean(values, qs, 8)
     assert out.tobytes() == np.array([scalar_power_mean(values, q, 8) for q in qs]).tobytes()
     assert np.array_equal(_power_mean(np.zeros(4), qs, 8), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "buffer_size",
+    [lambda m: m, lambda m: 3 * m - 1, lambda m: (len(DEFAULT_QS) + 1) * m],
+    ids=["one-row", "uneven-blocks", "all-rows"],
+)
+@pytest.mark.parametrize(
+    "values, qs",
+    [
+        (np.random.default_rng(4).lognormal(0.0, 2.0, 37), DEFAULT_QS.values),
+        (np.array([1.0, 0.0, 2.0, 0.5, 0.0]), [0.5, 1.0, 2.0, 3.0, 4.0]),
+    ],
+    ids=["q-zero-inside-a-block", "zero-value-positive-q"],
+)
+def test_power_mean_in_blocks_of_rows_is_bitwise_the_scalar_loop(buffer_size, values, qs):
+    # blocks of one q row, of two rows with one left over, and of every row
+    buffer = np.full(buffer_size(values.size), np.nan)
+    kept = values.copy()
+    out = _power_mean(values, qs, 8, out=buffer)
+    ref = np.array([scalar_power_mean(values, q, 8) for q in np.asarray(qs).tolist()])
+    assert out.tobytes() == ref.tobytes()
+    assert out.tobytes() == _power_mean(values, qs, 8).tobytes()
+    assert not np.shares_memory(out, buffer)
+    assert np.array_equal(values, kept)
 
 
 # ------------------------------------------------------------ mfdma 1d
@@ -419,6 +444,8 @@ def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
     scales = [4, 9, 20, 50]
     mfdma_fluctuations_1d(gaussian_noise(200, seed=1), scales, [-1.0, 2.0], theta=0.5)
     assert counts == dict.fromkeys(counts, len(scales))
+    mfdfa_fluctuations_1d(gaussian_noise(200, seed=1), scales, [-1.0, 2.0])
+    assert counts["_power_mean"] == 2 * len(scales)
 
 
 def test_pass_peak_memory():
@@ -429,6 +456,25 @@ def test_pass_peak_memory():
     tracemalloc.start()
     try:
         mfdma_fluctuations_1d(values, scales, [-2.0, 0.0, 2.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.0 * values.nbytes
+
+
+@pytest.mark.parametrize(
+    "estimator", [mfdma_fluctuations_1d, mfdfa_fluctuations_1d], ids=["mfdma", "mfdfa"]
+)
+def test_pass_peak_memory_on_the_default_q_grid(estimator):
+    # the power means of a block of q rows run in the pass's workspace, so the
+    # 81-q grid holds no (q x segments) array beyond it; the warm-up call keeps
+    # the first-call allocations outside the pass out of the count
+    values = gaussian_noise(2**16, seed=5).values
+    scales = build_scale_grid(10, 2**14, 20)
+    estimator(values, scales, DEFAULT_QS)
+    tracemalloc.start()
+    try:
+        estimator(values, scales, DEFAULT_QS)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -8,6 +8,7 @@ from mfdma import (
     DetrendConfig2D,
     Surface,
     ValidationError,
+    build_q_grid,
     build_scale_grid,
     fit_scaling,
     mfdfa_fluctuations_2d,
@@ -287,6 +288,8 @@ def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
     scales = [2, 4, 8]
     mfdma_fluctuations_2d(np.random.default_rng(1).random((40, 36)), scales, [-1.0, 2.0], 0.5)
     assert counts == dict.fromkeys(counts, len(scales))
+    mfdfa_fluctuations_2d(np.random.default_rng(1).random((40, 36)), scales, [-1.0, 2.0])
+    assert counts["_power_mean"] == 2 * len(scales)
 
 
 def test_pass_peak_memory(rng):
@@ -301,6 +304,27 @@ def test_pass_peak_memory(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 3.1 * values.nbytes
+
+
+@pytest.mark.parametrize(
+    "estimator, bound",
+    [(mfdma_fluctuations_2d, 3.1), (mfdfa_fluctuations_2d, 3.5)],
+    ids=["mfdma", "mfdfa"],
+)
+def test_pass_peak_memory_on_the_default_q_grid(rng, estimator, bound):
+    # the power means of a block of q rows run in the pass's workspace; 2-d MFDFA
+    # read 6.2x when its power means held every q at once in a fresh array
+    values = rng.standard_normal((512, 512))
+    scales = build_scale_grid(4, 128, 10)
+    qs = build_q_grid(-4.0, 4.0, 0.1)
+    estimator(values, scales, qs)
+    tracemalloc.start()
+    try:
+        estimator(values, scales, qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * values.nbytes
 
 
 def test_mfdma2d_scale_cap_is_enforced():
