@@ -34,6 +34,7 @@ from .pipeline import (
     FIELD_TYPES,
     AnalysisConfig,
     analyze,
+    analyze_all,
     csv_digest,
     csv_table,
     emit_results,
@@ -203,10 +204,8 @@ def cmd_compare(args) -> int:
     # the reference needs no data, so a bad one fails before the input is read
     weights = _cascade_weights(args.analytic_p1, args.analytic_weights)
     data, digest = ingest_input(cfg)
-    bundles = {
-        label: analyze(replace(cfg, method=method, theta=theta), data, digest)
-        for label, method, theta in COMPARE_METHODS
-    }
+    cfgs = [replace(cfg, method=method, theta=theta) for _, method, theta in COMPARE_METHODS]
+    bundles = dict(zip([label for label, *_ in COMPARE_METHODS], analyze_all(cfgs, data, digest)))
 
     qs = bundles["mfdma_theta0"].estimate.qs.values
     tau_ref = analytic_tau(weights, qs)

@@ -154,17 +154,24 @@ def moving_average(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) 
     return np.divide(means, n, out=means)
 
 
-def residual_series(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) -> np.ndarray:
+def residual_series(
+    profile_values: np.ndarray, cfg: DetrendConfig, *, out=None, means=None
+) -> np.ndarray:
     """Residuals y(i) - ytilde(i) over the defined domain, length N - n + 1.
 
-    ``out`` is passed to :func:`moving_average`, whose averages the residuals overwrite.
+    ``means`` are the averages :func:`moving_average` gives at cfg.n, the
+    same for every theta.  Without them, they are formed here with ``out``
+    passed on, and the residuals overwrite them.  With them, the residuals
+    go to ``out``, a flat float buffer (``means`` itself, say), or else to
+    a fresh array.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
-    means = moving_average(y, cfg, out=out)
+    if means is None:
+        means = out = moving_average(y, cfg, out=out)
     future = cfg.future_points
     # domain of i is [n - future, N - future] (1-based)
-    return np.subtract(y[n - future - 1: y.size - future], means, out=means)
+    return np.subtract(y[n - future - 1: y.size - future], means, out=_take(out, means.shape))
 
 
 def _blocks(x: np.ndarray, n: int) -> np.ndarray:
@@ -248,18 +255,41 @@ def _validate_scales(scales, shape):
     return grid
 
 
-def _fluctuation_table(grid, qs, segment_rms_at, scratch=None) -> FluctuationTable:
-    """F_q(n) at every scale of ``grid``: the scale loop all estimators share.
+def _fluctuation_tables(grid, qs, segment_rms_at, scratch=None) -> list[FluctuationTable]:
+    """F_q(n) of one or more estimators at every scale of ``grid``: the scale loop all share.
 
-    ``segment_rms_at(n)`` returns the per-segment RMS values F_v(n) of one
-    estimator at scale n; each row of the table is their power means,
-    formed in ``scratch``, if given: a flat buffer free once F_v(n) exists.
+    ``segment_rms_at(n)`` lists the per-segment RMS values F_v(n) of each
+    estimator at scale n; each row of a table is their power means, formed
+    in ``scratch``, if given: a flat buffer free once every F_v(n) exists.
+    A zero-RMS segment raises the error that running the estimators one
+    after another would: the first failing estimator's, at its first
+    failing scale.  A failure drops that estimator and the ones after it,
+    and the pass stops when none is left.
     """
     qgrid = as_q_grid(qs)
-    table = np.empty((len(grid), len(qgrid)))
+    tables, error = None, None
     for i, n in enumerate(grid.values.tolist()):
-        table[i] = _power_mean(segment_rms_at(n), qgrid.values, n, out=scratch)
-    return FluctuationTable(grid, qgrid, table)
+        rms_values = segment_rms_at(n)
+        if tables is None:
+            tables = [np.empty((len(grid), len(qgrid))) for _ in rms_values]
+        for j in range(len(tables)):
+            try:
+                tables[j][i] = _power_mean(rms_values[j], qgrid.values, n, out=scratch)
+            except DegenerateSegmentError as exc:
+                del tables[j:]
+                error = exc
+                break
+        del rms_values  # free before the next scale's
+        if not tables:
+            break
+    if error is not None:
+        raise error
+    return [FluctuationTable(grid, qgrid, table) for table in tables]
+
+
+def _fluctuation_table(grid, qs, segment_rms_at, scratch=None) -> FluctuationTable:
+    """The table of one estimator, whose ``segment_rms_at(n)`` returns its F_v(n)."""
+    return _fluctuation_tables(grid, qs, lambda n: [segment_rms_at(n)], scratch)[0]
 
 
 def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> FluctuationTable:
@@ -279,18 +309,34 @@ def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> Fluctuation
         DegenerateSegmentError: a zero-RMS segment met a moment q <= 0;
             the error names the scale and q.
     """
+    return _mfdma_tables_1d(series, scales, qs, [theta])[0]
+
+
+def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
+    """The table of :func:`mfdma_fluctuations_1d` at each of ``thetas``, from one pass.
+
+    Per scale, the moving average, the same for every theta, is formed once;
+    each theta then takes its residuals, block RMS and power means from it.
+    """
     values = _as_values(series, 1)
     grid = _validate_scales(scales, values.shape)
     y = _compensated_cumsum(values)
     # one workspace for the pass: the largest scale has the most block sums
     sums = max((y.size // n + 1) * (n + 1) for n in grid.values.tolist())
     workspace = (np.empty(sums), np.empty(y.size))
+    # the residuals of every theta but the last, which overwrite the averages
+    spare = np.empty(y.size) if len(thetas) > 1 else None
 
     def rms_at(n):
-        resid = residual_series(y, DetrendConfig(n, theta), out=workspace)
-        return segment_rms(resid, n, out=resid).values
+        means = moving_average(y, DetrendConfig(n), out=workspace)
+        rms = []
+        for j, theta in enumerate(thetas, start=1):
+            out = means if j == len(thetas) else spare
+            resid = residual_series(y, DetrendConfig(n, theta), out=out, means=means)
+            rms.append(segment_rms(resid, n, out=resid).values)
+        return rms
 
-    return _fluctuation_table(grid, qs, rms_at, workspace[1])
+    return _fluctuation_tables(grid, qs, rms_at, workspace[1])
 
 
 def _polynomial_residuals(segments: np.ndarray, order: int, *, out=None) -> np.ndarray:
@@ -298,7 +344,8 @@ def _polynomial_residuals(segments: np.ndarray, order: int, *, out=None) -> np.n
 
     segments has shape (count, n).  order == 1 uses the explicit centered
     normal equations, which detrend exactly-linear data to exact zeros, and
-    writes the residuals to ``out``, a flat float buffer, if given.
+    writes the residuals, then the slope terms after them, to ``out``, a
+    flat float buffer of at least 2 * count * n values, if given.
     """
     count, n = segments.shape
     u = np.arange(n, dtype=float)
@@ -306,8 +353,9 @@ def _polynomial_residuals(segments: np.ndarray, order: int, *, out=None) -> np.n
         uc = u - u.mean()
         denom = float(np.dot(uc, uc))
         slope = segments @ uc / denom
-        resid = np.subtract(segments, segments.mean(axis=1)[:, None], out=_take(out, (count, n)))
-        return np.subtract(resid, slope[:, None] * uc, out=resid)
+        resid, slope_terms = _take(out, (2, count, n))
+        np.subtract(segments, segments.mean(axis=1)[:, None], out=resid)
+        return np.subtract(resid, np.multiply(slope[:, None], uc, out=slope_terms), out=resid)
     vander = np.vander(u / (n - 1), order + 1, increasing=True)
     coef, *_ = np.linalg.lstsq(vander, segments.T, rcond=None)
     return segments - (vander @ coef).T
@@ -329,7 +377,8 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
             f"smallest scale {grid.values[0]} must be at least order + 2 = {order + 2}"
         )
     y = _compensated_cumsum(values)
-    workspace = np.empty(y.size)  # the residuals and squares, then the power means
+    # the residuals and squares and the slope terms, then the power means
+    workspace = np.empty(2 * y.size)
 
     def rms_at(n):
         resid = _polynomial_residuals(_blocks(y, n), order, out=workspace)

@@ -17,10 +17,12 @@ import numpy as np
 
 from .exceptions import ValidationError
 from .spectrum import FluctuationTable
-from .dma1d import _as_values, _blocks, _fluctuation_table, _take, _validate_scales
+from .dma1d import (
+    _as_values, _blocks, _fluctuation_table, _fluctuation_tables, _take, _validate_scales,
+)
 from .generators import Surface
 # perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
-# power means run in dma1d._fluctuation_table and are counted as dma1d.power_mean
+# power means run in dma1d._fluctuation_tables and are counted as dma1d.power_mean
 from .dma1d import _power_mean  # noqa: F401
 # the one block RMS, under the name the 2-d estimator calls (and perfbench/tracing.py hooks)
 from .dma1d import segment_rms as segment_rms_2d
@@ -203,6 +205,16 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     Raises:
         DegenerateSegmentError: zero-RMS block met a moment q <= 0.
     """
+    return _mfdma_tables_2d(surface, scales, qs, [theta])[0]
+
+
+def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
+    """The table of :func:`mfdma_fluctuations_2d` at each of ``thetas``, from one pass.
+
+    Per scale, the window aggregates, the same for every theta, are formed
+    once; each theta then takes its residuals, block RMS and power means
+    from them.
+    """
     # a Surface is checked once here, not again by every window_aggregates call
     surface = surface if isinstance(surface, Surface) else Surface(surface)
     values = _as_values(surface, 2)
@@ -211,23 +223,34 @@ def mfdma_fluctuations_2d(surface, scales, qs, theta: float = 0.0) -> Fluctuatio
     rows, cols = (side - int(grid.values[0]) + 1 for side in values.shape)
     strip = min(rows, RECOMPUTE_EVERY) * values.shape[1]
     workspace = tuple(np.empty(size) for size in (rows * cols, rows * cols, strip, strip))
+    # the residuals of every theta but the last, which overwrite the window sums
+    spare = np.empty(rows * cols) if len(thetas) > 1 else None
 
     def rms_at(n):
-        cfg = DetrendConfig2D(n, n, theta)
-        aggregates = window_aggregates(surface, cfg, out=workspace)
-        corner = tuple(slice(side - d) for side, d in zip(aggregates.total.shape, cfg.shifts))
-        resid = residual_matrix_2d(aggregates, cfg, out=aggregates.total[corner])
-        return segment_rms_2d(resid, n, out=resid).values
+        aggregates = window_aggregates(surface, DetrendConfig2D(n, n), out=workspace)
+        total = aggregates.total
+        rms = []
+        for j, theta in enumerate(thetas, start=1):
+            cfg = DetrendConfig2D(n, n, theta)
+            # laid out as the window sums are, so the block RMS reads the same strides
+            out = total if j == len(thetas) else _take(spare, total.shape)
+            corner = tuple(slice(side - d) for side, d in zip(total.shape, cfg.shifts))
+            resid = residual_matrix_2d(aggregates, cfg, out=out[corner])
+            rms.append(segment_rms_2d(resid, n, out=resid).values)
+        return rms
 
-    return _fluctuation_table(grid, qs, rms_at, workspace[0])
+    return _fluctuation_tables(grid, qs, rms_at, workspace[0])
 
 
-def _plane_residuals(blocks: np.ndarray) -> np.ndarray:
+def _plane_residuals(blocks: np.ndarray, *, out=None) -> np.ndarray:
     """Residuals of least-squares planes a + b*u + c*v fitted per block.
 
     blocks has shape (..., n, n).  The centered row/column coordinates are
     orthogonal on the square grid, so the normal equations decouple and
-    exact planes are removed to exact zeros.
+    exact planes are removed to exact zeros.  The fitted planes, which the
+    residuals then overwrite, go to ``out``, a flat float buffer of at
+    least blocks.size values, or else to a fresh array; either way they
+    are C-contiguous, which fixes the summation order of the block RMS.
     """
     n = blocks.shape[-1]
     u = np.arange(n, dtype=float)
@@ -236,12 +259,12 @@ def _plane_residuals(blocks: np.ndarray) -> np.ndarray:
     mean = blocks.mean(axis=(-2, -1))
     slope_u = np.einsum("...uv,u->...", blocks, uc) / denom
     slope_v = np.einsum("...uv,v->...", blocks, uc) / denom
-    trend = (
-        mean[..., None, None]
-        + slope_u[..., None, None] * uc[:, None]
-        + slope_v[..., None, None] * uc[None, :]
+    trend = np.add(
+        mean[..., None, None] + slope_u[..., None, None] * uc[:, None],
+        slope_v[..., None, None] * uc[None, :],
+        out=_take(out, blocks.shape),
     )
-    return blocks - trend
+    return np.subtract(blocks, trend, out=trend)
 
 
 def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
@@ -253,14 +276,15 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
     """
     values = _as_values(surface, 2)
     grid = _validate_scales(scales, values.shape)
-    workspace = np.empty(values.size)  # the cumulative sums, then the power means
+    # the cumulative sums and the fitted planes, then the power means
+    workspace = np.empty(2 * values.size)
 
     def rms_at(n):
         cut = _blocks(values, n)
         # the cut's own (c1, n, c2, n) layout, which fixes the einsum order of the fit
         sums = _take(workspace, cut.shape).transpose(0, 2, 1, 3)
         np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=sums)
-        resid = _plane_residuals(np.cumsum(sums, axis=3, out=sums))
+        resid = _plane_residuals(np.cumsum(sums, axis=3, out=sums), out=workspace[values.size:])
         return np.sqrt(np.mean(np.square(resid, out=resid), axis=(2, 3))).ravel()
 
     return _fluctuation_table(grid, qs, rms_at, workspace)

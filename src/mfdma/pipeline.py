@@ -21,8 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dma1d import _as_values, _validate_scales, mfdfa_fluctuations_1d, mfdma_fluctuations_1d
-from .dma2d import mfdfa_fluctuations_2d, mfdma_fluctuations_2d
+from .dma1d import _as_values, _mfdma_tables_1d, _validate_scales, mfdfa_fluctuations_1d
+from .dma2d import _mfdma_tables_2d, mfdfa_fluctuations_2d
+# perfbench/tracing.py hooks these names, though analyze_all runs the MFDMA tables directly
+from .dma1d import mfdma_fluctuations_1d  # noqa: F401
+from .dma2d import mfdma_fluctuations_2d  # noqa: F401
 from .exceptions import InputFormatError, ValidationError
 from .generators import Series, Surface
 from .spectrum import (
@@ -49,6 +52,7 @@ __all__ = [
     "write_surface_csv",
     "ingest_input",
     "analyze",
+    "analyze_all",
     "run_pipeline",
     "emit_results",
 ]
@@ -346,32 +350,46 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
 
 def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
     """Analyze ingested or in-memory data under an already validated config."""
-    series = cfg.mode == "series"
+    return analyze_all([cfg], data, digest)[0]
+
+
+def analyze_all(cfgs, data, digest: str) -> list[ResultBundle]:
+    """The :func:`analyze` bundle of each config, which differ at most in method and theta.
+
+    The MFDMA configs share one estimator pass, which forms the window
+    averages, the same for every theta, once per scale.
+    """
+    series = cfgs[0].mode == "series"
     shape = _as_values(data, 1 if series else 2).shape
-    scales, qs, fit_range, resolved = _resolve_grids(cfg, shape)
-    if cfg.method == "mfdma":
-        estimator = mfdma_fluctuations_1d if series else mfdma_fluctuations_2d
-        table = estimator(data, scales, qs, cfg.theta)
-    elif series:
-        table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
-    else:
-        table = mfdfa_fluctuations_2d(data, scales, qs)
-    estimate = fit_scaling(table, fit_range, float(len(shape)))
-    spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
-    effective = asdict(cfg)
-    effective.update(resolved)
-    effective["fit_lo"], effective["fit_hi"] = estimate.fit_range
-    # where results land is presentation, not provenance; dropping it keeps
-    # emitted bytes identical across output directories
-    effective.pop("out_dir")
-    provenance = {
-        "toolkit": "mfdma",
-        "version": __version__,
-        "config": effective,
-        "input_digest": digest,
-        "input_shape": list(shape),
-    }
-    return ResultBundle(table, estimate, spectrum, provenance)
+    scales, qs, fit_range, resolved = _resolve_grids(cfgs[0], shape)
+    thetas = [cfg.theta for cfg in cfgs if cfg.method == "mfdma"]
+    mfdma = _mfdma_tables_1d if series else _mfdma_tables_2d
+    mfdma_tables = iter(mfdma(data, scales, qs, thetas) if thetas else [])
+    bundles = []
+    for cfg in cfgs:
+        if cfg.method == "mfdma":
+            table = next(mfdma_tables)
+        elif series:
+            table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
+        else:
+            table = mfdfa_fluctuations_2d(data, scales, qs)
+        estimate = fit_scaling(table, fit_range, float(len(shape)))
+        spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
+        effective = asdict(cfg)
+        effective.update(resolved)
+        effective["fit_lo"], effective["fit_hi"] = estimate.fit_range
+        # where results land is presentation, not provenance; dropping it keeps
+        # emitted bytes identical across output directories
+        effective.pop("out_dir")
+        provenance = {
+            "toolkit": "mfdma",
+            "version": __version__,
+            "config": effective,
+            "input_digest": digest,
+            "input_shape": list(shape),
+        }
+        bundles.append(ResultBundle(table, estimate, spectrum, provenance))
+    return bundles
 
 
 def ingest_input(cfg: AnalysisConfig):

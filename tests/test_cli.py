@@ -190,8 +190,8 @@ def test_compare_rejects_a_bad_reference_before_reading(
         return record
 
     monkeypatch.setattr(cli, "ingest_input", spy("ingest_input"))
-    for name in ("mfdma_fluctuations_1d", "mfdfa_fluctuations_1d",
-                 "mfdma_fluctuations_2d", "mfdfa_fluctuations_2d"):
+    for name in ("_mfdma_tables_1d", "mfdfa_fluctuations_1d",
+                 "_mfdma_tables_2d", "mfdfa_fluctuations_2d"):
         monkeypatch.setattr(pipeline, name, spy(name))
     argv = ["compare", "--mode", mode, "--input", str(measure_file),
             "--out-dir", str(tmp_path / "out")]
@@ -255,6 +255,30 @@ def test_compare_reads_its_input_once(mode, measure_file, tmp_path, monkeypatch)
         assert calls == [f"ingest_{mode}"], command
     summary = json.loads((tmp_path / "compare" / "compare_summary.json").read_text())
     assert len(summary["sum_abs_dtau"]) == 4
+
+
+@pytest.mark.parametrize("mode", ["series", "surface"])
+def test_compare_writes_the_result_json_analyze_writes(mode, measure_file, tmp_path):
+    # compare's MFDMA methods share one pass; each result must still be the
+    # bytes that analyze writes for that method alone
+    from mfdma import CascadeSpec2D, cascade_measure_2d, write_surface_csv
+    from mfdma.cli import COMPARE_METHODS
+
+    if mode == "series":
+        path, reference, grid = measure_file, ["--analytic-p1", "0.3"], GRID
+    else:
+        path = tmp_path / "surface.csv"
+        write_surface_csv(cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), 5)), path)
+        reference = ["--analytic-weights", "0.1,0.2,0.3,0.4"]
+        grid = ["--n-min", "2", "--n-max", "8", "--n-count", "4", "--q-step", "0.5"]
+    common = ["--mode", mode, "--input", str(path), "--format", "json"] + grid
+    assert main(["compare", "--out-dir", str(tmp_path / "compare")] + common + reference) == 0
+    for label, method, theta in COMPARE_METHODS:
+        out_dir = tmp_path / label
+        argv = ["analyze", "--method", method, "--theta", str(theta), "--out-dir", str(out_dir)]
+        assert main(argv + common) == 0
+        written = tmp_path / "compare" / label.replace(".", "_") / "result.json"
+        assert written.read_bytes() == (out_dir / "result.json").read_bytes(), label
 
 
 @pytest.mark.parametrize("kind", ["mfdma-written", "header-crlf"])

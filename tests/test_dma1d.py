@@ -448,18 +448,65 @@ def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
     assert counts["_power_mean"] == 2 * len(scales)
 
 
-def test_pass_peak_memory():
-    # the profile, one block-sum and one window buffer for the pass; the
-    # per-scale temporaries these replace took the peak to 5.3x
+THETAS = [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("scales", [[4, 9, 20, 50], build_scale_grid(4, 2501, 20)],
+                         ids=["small", "up-to-N/4"])
+def test_a_pass_over_three_thetas_is_bitwise_three_single_theta_passes(scales):
+    values = gaussian_noise(10_007, seed=3).values
+    tables = dma1d._mfdma_tables_1d(values, scales, DEFAULT_QS, THETAS)
+    for theta, table in zip(THETAS, tables):
+        expected = mfdma_fluctuations_1d(values, scales, DEFAULT_QS, theta)
+        assert table.values.tobytes() == expected.values.tobytes()
+
+
+def test_a_pass_over_three_thetas_averages_once_per_scale(count_calls):
+    counts = count_calls(dma1d, "moving_average", "residual_series", "segment_rms", "_power_mean")
+    scales = [4, 9, 20, 50]
+    dma1d._mfdma_tables_1d(gaussian_noise(200, seed=1), scales, [-1.0, 2.0], THETAS)
+    assert counts["moving_average"] == len(scales)
+    assert counts["residual_series"] == counts["segment_rms"] == 3 * len(scales)
+    assert counts["_power_mean"] == 3 * len(scales)
+
+
+def test_a_pass_over_several_thetas_raises_what_one_pass_each_would_raise_first():
+    # the constant stretch gives the centred average zero-RMS segments from
+    # n = 5; the zero stretch gives every theta zero-RMS segments from n = 7
+    x = np.random.default_rng(0).random(100) + 0.5
+    x[10:22] = 1.0
+    x[50:62] = 0.0
+    scales, qs = [5, 7, 9, 12], [-1.0, 2.0]
+    first = {}
+    for theta in THETAS:
+        with pytest.raises(DegenerateSegmentError) as err:
+            mfdma_fluctuations_1d(x, scales, qs, theta)
+        first[theta] = err.value.scale
+    assert first == {0.0: 7, 0.5: 5, 1.0: 7}
+    for thetas in (THETAS, [1.0, 0.5], [0.5, 0.0]):
+        with pytest.raises(DegenerateSegmentError) as err:
+            dma1d._mfdma_tables_1d(x, scales, qs, thetas)
+        assert err.value.scale == first[thetas[0]]
+
+
+@pytest.mark.parametrize(
+    "estimator, bound",
+    [(mfdma_fluctuations_1d, 4.0), (mfdfa_fluctuations_1d, 3.6)],
+    ids=["mfdma", "mfdfa"],
+)
+def test_pass_peak_memory(estimator, bound):
+    # the profile, one block-sum and one window buffer for the MFDMA pass; the
+    # per-scale temporaries these replace took the peak to 5.3x.  MFDFA holds
+    # the profile and two data-sized buffers: 3.51x
     values = gaussian_noise(2**16, seed=5).values
     scales = build_scale_grid(10, 2**14, 20)
     tracemalloc.start()
     try:
-        mfdma_fluctuations_1d(values, scales, [-2.0, 0.0, 2.0])
+        estimator(values, scales, [-2.0, 0.0, 2.0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4.0 * values.nbytes
+    assert peak <= bound * values.nbytes
 
 
 @pytest.mark.parametrize(
@@ -491,6 +538,23 @@ def test_mfdfa_exactly_linear_profile_detrends_to_zero():
         mfdfa_fluctuations_1d(x, table_scales, [0.0], order=1)
     table = mfdfa_fluctuations_1d(x, table_scales, [2.0], order=1)
     assert np.all(table.values == 0.0)
+
+
+def test_mfdfa_slope_terms_in_the_pass_buffer_are_bitwise_fresh_arrays():
+    values = gaussian_noise(10_007, seed=3).values
+    y = profile(values)
+    scales = build_scale_grid(4, 2501, 20)
+
+    def rms_at(n):
+        segments = y[:y.size // n * n].reshape(-1, n)
+        uc = np.arange(n, dtype=float) - (n - 1) / 2
+        slope = segments @ uc / float(np.dot(uc, uc))
+        resid = segments - segments.mean(axis=1)[:, None] - slope[:, None] * uc
+        return np.sqrt(np.mean(np.square(resid), axis=1))
+
+    expected = dma1d._fluctuation_table(scales, WORKSPACE_QS, rms_at)
+    table = mfdfa_fluctuations_1d(values, scales, WORKSPACE_QS)
+    assert table.values.tobytes() == expected.values.tobytes()
 
 
 def test_mfdfa_rejects_small_scales_for_order():

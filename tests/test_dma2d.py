@@ -292,6 +292,32 @@ def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):
     assert counts["_power_mean"] == 2 * len(scales)
 
 
+THETAS = [0.0, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("kind", ["noise-300x517", "dyadic-256x256"])
+def test_a_pass_over_three_thetas_is_bitwise_three_single_theta_passes(rng, kind):
+    if kind.startswith("noise"):
+        values, scales = rng.standard_normal((300, 517)), build_scale_grid(2, 75, 10)
+    else:
+        values, scales = dyadic_surface(rng, (256, 256)), build_scale_grid(2, 64, 8)
+    qs = build_q_grid(-4.0, 4.0, 0.1)
+    tables = dma2d._mfdma_tables_2d(values, scales, qs, THETAS)
+    for theta, table in zip(THETAS, tables):
+        expected = mfdma_fluctuations_2d(values, scales, qs, theta)
+        assert table.values.tobytes() == expected.values.tobytes()
+
+
+def test_a_pass_over_three_thetas_aggregates_once_per_scale(count_calls):
+    counts = count_calls(dma2d, "window_aggregates", "residual_matrix_2d", "segment_rms_2d")
+    count_calls(dma1d, "_power_mean")
+    scales = [2, 4, 8]
+    dma2d._mfdma_tables_2d(np.random.default_rng(1).random((40, 36)), scales, [-1.0, 2.0], THETAS)
+    assert counts["window_aggregates"] == len(scales)
+    assert counts["residual_matrix_2d"] == counts["segment_rms_2d"] == 3 * len(scales)
+    assert counts["_power_mean"] == 3 * len(scales)
+
+
 def test_pass_peak_memory(rng):
     # the window sums and means of the smallest scale and two strips, for the
     # whole pass; the residual and its squares overwrite the window sums
@@ -308,12 +334,13 @@ def test_pass_peak_memory(rng):
 
 @pytest.mark.parametrize(
     "estimator, bound",
-    [(mfdma_fluctuations_2d, 3.1), (mfdfa_fluctuations_2d, 3.5)],
+    [(mfdma_fluctuations_2d, 3.1), (mfdfa_fluctuations_2d, 2.8)],
     ids=["mfdma", "mfdfa"],
 )
 def test_pass_peak_memory_on_the_default_q_grid(rng, estimator, bound):
     # the power means of a block of q rows run in the pass's workspace; 2-d MFDFA
-    # read 6.2x when its power means held every q at once in a fresh array
+    # read 6.2x when its power means held every q at once in a fresh array, and
+    # 3.22x when it formed its fitted planes and residuals in fresh arrays
     values = rng.standard_normal((512, 512))
     scales = build_scale_grid(4, 128, 10)
     qs = build_q_grid(-4.0, 4.0, 0.1)
@@ -345,6 +372,35 @@ def test_plane_residuals_remove_exact_planes():
     plane = 3.0 + 2.0 * u - 5.0 * v
     resid = _plane_residuals(plane[None, None])
     assert np.array_equal(resid, np.zeros_like(resid))
+
+
+def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng):
+    # the block RMS sums the residuals in an order set by their layout, so
+    # the buffered planes must be laid out as fresh arrays would be
+    values = rng.standard_normal((300, 517))
+    scales = build_scale_grid(4, 75, 10)
+    qs = [-3.0, 0.0, 2.0]
+
+    def rms_at(n):
+        cut = values[:values.shape[0] // n * n, :values.shape[1] // n * n]
+        cut = cut.reshape(cut.shape[0] // n, n, cut.shape[1] // n, n)
+        blocks = np.empty(cut.shape).transpose(0, 2, 1, 3)
+        np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=blocks)
+        np.cumsum(blocks, axis=3, out=blocks)
+        uc = np.arange(n, dtype=float) - (n - 1) / 2
+        denom = float(np.dot(uc, uc)) * n
+        slope_u = np.einsum("...uv,u->...", blocks, uc) / denom
+        slope_v = np.einsum("...uv,v->...", blocks, uc) / denom
+        trend = (
+            blocks.mean(axis=(-2, -1))[..., None, None]
+            + slope_u[..., None, None] * uc[:, None]
+            + slope_v[..., None, None] * uc[None, :]
+        )
+        return np.sqrt(np.mean(np.square(blocks - trend), axis=(2, 3))).ravel()
+
+    expected = dma1d._fluctuation_table(scales, qs, rms_at)
+    table = mfdfa_fluctuations_2d(values, scales, qs)
+    assert table.values.tobytes() == expected.values.tobytes()
 
 
 def test_mfdfa2d_q0_column_is_geometric_mean_of_block_rms(rng):
