@@ -111,10 +111,9 @@ def _add_analysis_options(parser: argparse.ArgumentParser):
     grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
-def _config(args, **overrides) -> AnalysisConfig:
+def _config(args) -> AnalysisConfig:
     """The command's config from its flags and --config file; it must name an input."""
     options = {k: getattr(args, k) for k in DEFAULTS}
-    options.update(overrides)
     cfg = AnalysisConfig.from_sources(options, config_file=args.config)
     if cfg.input_path is None:
         raise ValidationError(f"{args.command} needs --input")
@@ -151,7 +150,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    cfg = _config(args, mode="series")
+    cfg = _config(args)
+    if cfg.mode != "series":
+        raise ValidationError(f"surrogate shuffles a series, got mode {cfg.mode!r}")
     raw, digest = ingest_input(cfg)
     shuffled = shuffle_surrogate(raw, cfg.seed)
     raw_bundle = analyze(cfg, raw, digest)

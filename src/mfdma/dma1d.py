@@ -32,6 +32,12 @@ __all__ = [
 ]
 
 
+def _check_theta(theta) -> None:
+    """Raise unless the window position parameter theta is in [0, 1]."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValidationError(f"theta must lie in [0, 1], got {theta}")
+
+
 @dataclass(frozen=True)
 class DetrendConfig:
     """Window size n and position parameter theta.
@@ -46,8 +52,7 @@ class DetrendConfig:
     def __post_init__(self):
         if int(self.n) != self.n or self.n < 2:
             raise ValidationError(f"window size must be an integer >= 2, got {self.n}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must lie in [0, 1], got {self.theta}")
+        _check_theta(self.theta)
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -261,35 +266,14 @@ def _fluctuation_tables(grid, qs, segment_rms_at, scratch=None) -> list[Fluctuat
     ``segment_rms_at(n)`` lists the per-segment RMS values F_v(n) of each
     estimator at scale n; each row of a table is their power means, formed
     in ``scratch``, if given: a flat buffer free once every F_v(n) exists.
-    A zero-RMS segment raises the error that running the estimators one
-    after another would: the first failing estimator's, at its first
-    failing scale.  A failure drops that estimator and the ones after it,
-    and the pass stops when none is left.
+    The first zero-RMS segment stops the pass: its error is the first
+    listed estimator's at the first scale where any has one.
     """
     qgrid = as_q_grid(qs)
-    tables, error = None, None
-    for i, n in enumerate(grid.values.tolist()):
-        rms_values = segment_rms_at(n)
-        if tables is None:
-            tables = [np.empty((len(grid), len(qgrid))) for _ in rms_values]
-        for j in range(len(tables)):
-            try:
-                tables[j][i] = _power_mean(rms_values[j], qgrid.values, n, out=scratch)
-            except DegenerateSegmentError as exc:
-                del tables[j:]
-                error = exc
-                break
-        del rms_values  # free before the next scale's
-        if not tables:
-            break
-    if error is not None:
-        raise error
-    return [FluctuationTable(grid, qgrid, table) for table in tables]
-
-
-def _fluctuation_table(grid, qs, segment_rms_at, scratch=None) -> FluctuationTable:
-    """The table of one estimator, whose ``segment_rms_at(n)`` returns its F_v(n)."""
-    return _fluctuation_tables(grid, qs, lambda n: [segment_rms_at(n)], scratch)[0]
+    # each scale's F_v(n) are freed once their rows are formed, before the next scale's
+    rows = [[_power_mean(values, qgrid.values, n, out=scratch) for values in segment_rms_at(n)]
+            for n in grid.values.tolist()]
+    return [FluctuationTable(grid, qgrid, np.array(table)) for table in zip(*rows)]
 
 
 def mfdma_fluctuations_1d(series, scales, qs, theta: float = 0.0) -> FluctuationTable:
@@ -381,7 +365,7 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
     workspace = np.empty(2 * y.size)
 
     def rms_at(n):
-        resid = _polynomial_residuals(_blocks(y, n), order, out=workspace)
-        return np.sqrt(np.mean(np.square(resid, out=resid), axis=1))
+        resid = _polynomial_residuals(_blocks(y, n), order, out=workspace).reshape(-1)
+        return [segment_rms(resid, n, out=resid).values]
 
-    return _fluctuation_table(grid, qs, rms_at, workspace)
+    return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

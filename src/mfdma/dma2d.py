@@ -18,7 +18,7 @@ import numpy as np
 from .exceptions import ValidationError
 from .spectrum import FluctuationTable
 from .dma1d import (
-    _as_values, _blocks, _fluctuation_table, _fluctuation_tables, _take, _validate_scales,
+    _as_values, _blocks, _check_theta, _fluctuation_tables, _take, _validate_scales,
 )
 from .generators import Surface
 # perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
@@ -57,8 +57,7 @@ class DetrendConfig2D:
         for label, n in (("n1", self.n1), ("n2", self.n2)):
             if int(n) != n or n < 2:
                 raise ValidationError(f"{label} must be an integer >= 2, got {n}")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must lie in [0, 1], got {self.theta}")
+        _check_theta(self.theta)
         object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "n2", int(self.n2))
 
@@ -285,6 +284,6 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
         sums = _take(workspace, cut.shape).transpose(0, 2, 1, 3)
         np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=sums)
         resid = _plane_residuals(np.cumsum(sums, axis=3, out=sums), out=workspace[values.size:])
-        return np.sqrt(np.mean(np.square(resid, out=resid), axis=(2, 3))).ravel()
+        return [np.sqrt(np.mean(np.square(resid, out=resid), axis=(2, 3))).ravel()]
 
-    return _fluctuation_table(grid, qs, rms_at, workspace)
+    return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

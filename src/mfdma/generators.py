@@ -112,9 +112,10 @@ class CascadeSpec2D:
         w = tuple(float(x) for x in self.weights)
         if len(w) != 4:
             raise ValidationError(f"expected exactly four weights, got {len(w)}")
-        if any(x < 0 for x in w):
+        # written so that a NaN weight fails both checks
+        if not all(x >= 0 for x in w):
             raise ValidationError(f"weights must be nonnegative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-12:
+        if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValidationError(f"weights must sum to 1 within 1e-12, got sum {sum(w)!r}")
         if self.levels <= 0:
             raise ValidationError(f"levels must be a positive integer, got {self.levels}")
@@ -154,11 +155,18 @@ def cascade_measure_2d(spec: CascadeSpec2D) -> Surface:
     return Surface(measure, name=f"cascade2d(weights={spec.weights}, levels={spec.levels})")
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator seeded with ``seed``, a non-negative integer."""
+    if seed < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def gaussian_noise(length: int, seed: int) -> Series:
     """Draw i.i.d. standard normal noise; the same seed gives the same draw."""
     if length < 16:
         raise ValidationError(f"noise length must be at least 16, got {length}")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     return Series(rng.standard_normal(length), name=f"gaussian(length={length}, seed={seed})")
 
 
@@ -168,6 +176,6 @@ def shuffle_surrogate(series: Series, seed: int) -> Series:
     The permutation is a seeded Fisher-Yates shuffle, so the multiset of
     values is preserved exactly and the draw is reproducible.
     """
-    shuffled = np.random.default_rng(seed).permutation(series.values)
+    shuffled = _seeded_rng(seed).permutation(series.values)
     tag = f"{series.name} [shuffled seed={seed}]" if series.name else None
     return Series(shuffled, name=tag)

@@ -21,7 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dma1d import _as_values, _mfdma_tables_1d, _validate_scales, mfdfa_fluctuations_1d
+from .dma1d import (
+    _as_values, _check_theta, _mfdma_tables_1d, _validate_scales, mfdfa_fluctuations_1d,
+)
 from .dma2d import _mfdma_tables_2d, mfdfa_fluctuations_2d
 # perfbench/tracing.py hooks these names, though analyze_all runs the MFDMA tables directly
 from .dma1d import mfdma_fluctuations_1d  # noqa: F401
@@ -98,8 +100,7 @@ class AnalysisConfig:
                 raise ValidationError(
                     f"{label} must be one of {allowed}, got {getattr(self, name)!r}"
                 )
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValidationError(f"theta must lie in [0, 1], got {self.theta}")
+        _check_theta(self.theta)
         # grid parameters are validated for real when the grids are built
         qs = build_q_grid(self.q_min, self.q_max, self.q_step)
         _check_legendre_window(qs, self.legendre_half_window)

@@ -162,6 +162,10 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     """Uniform q grid from q_min to q_max inclusive; snaps tiny values to 0."""
+    if not np.all(np.isfinite([q_min, q_max, q_step])):
+        raise ValidationError(
+            f"q_min, q_max and q_step must be finite, got ({q_min}, {q_max}, {q_step})"
+        )
     if q_step <= 0:
         raise ValidationError(f"q_step must be positive, got {q_step}")
     if q_max <= q_min:
@@ -275,9 +279,10 @@ def _check_weights(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.shape not in ((2,), (4,)):
         raise ValidationError(f"expected two or four weights, got shape {w.shape}")
-    if np.any(w <= 0):
+    # written so that a NaN weight fails both checks
+    if not np.all(w > 0):
         raise ValidationError("analytic formulas need strictly positive weights")
-    if abs(w.sum() - 1.0) > 1e-12:
+    if not abs(w.sum() - 1.0) <= 1e-12:
         raise ValidationError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
     return w
 

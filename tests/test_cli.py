@@ -172,8 +172,10 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
         ("series", ["--analytic-p1", "1.5"], "p1 must lie strictly inside (0, 1), got 1.5"),
         ("surface", ["--analytic-weights", "0.5,0.5,0.5,0.5"],
          "weights must sum to 1 within 1e-12, got 2.0"),
+        ("surface", ["--analytic-weights", "nan,0.2,0.3,0.4"],
+         "analytic formulas need strictly positive weights"),
     ],
-    ids=["p1-on-series", "weights-on-surface"],
+    ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface"],
 )
 def test_compare_rejects_a_bad_reference_before_reading(
     mode, reference, message, measure_file, tmp_path, monkeypatch, capsys
@@ -365,6 +367,60 @@ def test_oracle_stdout_is_pinned(argv, sha256, capsys):
 def test_oracle_rejects_ambiguous_reference(capsys):
     assert main(["oracle", "--p1", "0.3", "--weights", "0.25,0.25,0.25,0.25"]) == 2
     assert main(["oracle"]) == 2
+
+
+def test_oracle_rejects_a_nan_weight(capsys):
+    assert main(["oracle", "--weights", "nan,0.2,0.3,0.4"]) == 2
+    assert capsys.readouterr() == ("", "error: analytic formulas need strictly positive weights\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--q-step", "nan"],
+        ["analyze", "--q-max", "inf"],
+        ["analyze", "--q-min=-inf"],
+        ["analyze", "--config", "nan-step.json"],
+        ["oracle", "--p1", "0.3", "--q-step", "nan"],
+    ],
+    ids=["q-step-nan", "q-max-inf", "q-min-minus-inf", "config-q-step-nan", "oracle-q-step-nan"],
+)
+def test_a_non_finite_q_grid_is_a_validation_error(argv, measure_file, tmp_path, monkeypatch,
+                                                   capsys):
+    # json.loads reads NaN, so a config file can hold one too
+    (tmp_path / "nan-step.json").write_text('{"q_step": NaN}')
+    monkeypatch.chdir(tmp_path)
+    if argv[0] == "analyze":
+        argv = argv + ["--input", str(measure_file)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: q_min, q_max and q_step must be finite, got (")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["surrogate", "generate"])
+def test_a_negative_seed_is_a_validation_error(command, measure_file, tmp_path, capsys):
+    out = tmp_path / "noise.csv"
+    argv = (["surrogate", "--input", str(measure_file)] if command == "surrogate"
+            else ["generate", "noise", "--length", "64", "--out", str(out)])
+    assert main(argv + ["--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_surrogate_rejects_surface_mode_before_reading(source, tmp_path, monkeypatch, capsys):
+    from mfdma import cli
+
+    def refuse(cfg):
+        raise AssertionError("ingest_input was called")
+
+    monkeypatch.setattr(cli, "ingest_input", refuse)
+    config = tmp_path / "cfg.json"
+    config.write_text('{"mode": "surface"}')
+    mode = ["--mode", "surface"] if source == "flag" else ["--config", str(config)]
+    assert main(["surrogate", "--input", str(tmp_path / "surface.csv")] + mode) == 2
+    assert capsys.readouterr().err == "error: surrogate shuffles a series, got mode 'surface'\n"
 
 
 def test_oracle_names_the_weight_sum_as_a_plain_number(capsys):

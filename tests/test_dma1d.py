@@ -413,10 +413,10 @@ def test_pass_workspace_is_bitwise_the_allocating_functions(theta, scales):
     # N = 10,007 is prime, so no scale divides it
     values = gaussian_noise(10_007, seed=3).values
     y = profile(values)
-    expected = dma1d._fluctuation_table(
+    expected = dma1d._fluctuation_tables(
         as_scale_grid(scales), WORKSPACE_QS,
-        lambda n: segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values,
-    )
+        lambda n: [segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values],
+    )[0]
     table = mfdma_fluctuations_1d(values, scales, WORKSPACE_QS, theta)
     assert table.values.tobytes() == expected.values.tobytes()
 
@@ -470,23 +470,41 @@ def test_a_pass_over_three_thetas_averages_once_per_scale(count_calls):
     assert counts["_power_mean"] == 3 * len(scales)
 
 
-def test_a_pass_over_several_thetas_raises_what_one_pass_each_would_raise_first():
+def _constant_and_zero_stretches():
     # the constant stretch gives the centred average zero-RMS segments from
     # n = 5; the zero stretch gives every theta zero-RMS segments from n = 7
     x = np.random.default_rng(0).random(100) + 0.5
     x[10:22] = 1.0
     x[50:62] = 0.0
-    scales, qs = [5, 7, 9, 12], [-1.0, 2.0]
-    first = {}
-    for theta in THETAS:
-        with pytest.raises(DegenerateSegmentError) as err:
-            mfdma_fluctuations_1d(x, scales, qs, theta)
-        first[theta] = err.value.scale
-    assert first == {0.0: 7, 0.5: 5, 1.0: 7}
-    for thetas in (THETAS, [1.0, 0.5], [0.5, 0.0]):
-        with pytest.raises(DegenerateSegmentError) as err:
-            dma1d._mfdma_tables_1d(x, scales, qs, thetas)
-        assert err.value.scale == first[thetas[0]]
+    return x, [5, 7, 9, 12], [-1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "thetas", [[0.0], [0.5], [1.0], THETAS, [1.0, 0.5], [0.5, 0.0], [1.0, 0.0]]
+)
+def test_a_pass_over_several_thetas_raises_at_the_first_failing_scale(thetas):
+    # a pass stops at the first scale where any theta has a zero-RMS segment,
+    # with the error of the first theta listed that fails there: every list
+    # that holds 0.5 fails at n = 5, the others at n = 7
+    x, scales, qs = _constant_and_zero_stretches()
+    first = {0.0: 7, 0.5: 5, 1.0: 7}
+    scale = min(first[theta] for theta in thetas)
+    with pytest.raises(DegenerateSegmentError) as err:
+        dma1d._mfdma_tables_1d(x, scales, qs, thetas)
+    assert err.value.scale == scale
+    failing = next(theta for theta in thetas if first[theta] == scale)
+    with pytest.raises(DegenerateSegmentError) as alone:
+        mfdma_fluctuations_1d(x, scales, qs, failing)
+    assert str(err.value) == str(alone.value)
+
+
+def test_a_failing_pass_forms_no_power_mean_after_the_failing_scale(count_calls):
+    # at n = 5, theta = 0 forms its row and theta = 0.5 fails; nothing follows
+    counts = count_calls(dma1d, "moving_average", "_power_mean")
+    x, scales, qs = _constant_and_zero_stretches()
+    with pytest.raises(DegenerateSegmentError):
+        dma1d._mfdma_tables_1d(x, scales, qs, THETAS)
+    assert counts == {"moving_average": 1, "_power_mean": 2}
 
 
 @pytest.mark.parametrize(
@@ -552,7 +570,7 @@ def test_mfdfa_slope_terms_in_the_pass_buffer_are_bitwise_fresh_arrays():
         resid = segments - segments.mean(axis=1)[:, None] - slope[:, None] * uc
         return np.sqrt(np.mean(np.square(resid), axis=1))
 
-    expected = dma1d._fluctuation_table(scales, WORKSPACE_QS, rms_at)
+    expected = dma1d._fluctuation_tables(scales, WORKSPACE_QS, lambda n: [rms_at(n)])[0]
     table = mfdfa_fluctuations_1d(values, scales, WORKSPACE_QS)
     assert table.values.tobytes() == expected.values.tobytes()
 

@@ -275,7 +275,7 @@ def test_pass_workspace_is_bitwise_the_allocating_functions(rng, kind, theta):
         cfg = DetrendConfig2D(n, n, theta)
         return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
 
-    expected = dma1d._fluctuation_table(scales, qs, rms_at)
+    expected = dma1d._fluctuation_tables(scales, qs, lambda n: [rms_at(n)])[0]
     table = mfdma_fluctuations_2d(values, scales, qs, theta)
     assert table.values.tobytes() == expected.values.tobytes()
 
@@ -398,7 +398,7 @@ def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng):
         )
         return np.sqrt(np.mean(np.square(blocks - trend), axis=(2, 3))).ravel()
 
-    expected = dma1d._fluctuation_table(scales, qs, rms_at)
+    expected = dma1d._fluctuation_tables(scales, qs, lambda n: [rms_at(n)])[0]
     table = mfdfa_fluctuations_2d(values, scales, qs)
     assert table.values.tobytes() == expected.values.tobytes()
 

@@ -80,6 +80,14 @@ def test_cascade2d_rejects_bad_weights():
         CascadeSpec2D(weights=(-0.1, 0.5, 0.3, 0.3), levels=2)
 
 
+def test_cascade2d_rejects_a_nan_weight():
+    # NaN fails every comparison, so it must not pass a check that asks for a failing one
+    with pytest.raises(ValidationError, match="nonnegative"):
+        CascadeSpec2D(weights=(float("nan"), 0.2, 0.3, 0.4), levels=2)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        CascadeSpec2D(weights=(float("inf"), 0.2, 0.3, 0.4), levels=2)
+
+
 def test_cascade2d_rejects_deep_levels():
     with pytest.raises(ValidationError):
         CascadeSpec2D(weights=(0.25,) * 4, levels=13)
@@ -102,6 +110,13 @@ def test_gaussian_noise_moments():
 def test_gaussian_noise_rejects_short_lengths():
     with pytest.raises(ValidationError):
         gaussian_noise(8, seed=0)
+
+
+def test_a_negative_seed_is_a_validation_error():
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        gaussian_noise(64, seed=-1)
+    with pytest.raises(ValidationError, match="seed must be a non-negative integer, got -1"):
+        shuffle_surrogate(Series(np.arange(5.0)), seed=-1)
 
 
 FINITE_SERIES = arrays(

@@ -51,6 +51,16 @@ def test_build_q_grid_hits_zero_exactly():
     assert qs.spacing == pytest.approx(0.1)
 
 
+@pytest.mark.parametrize(
+    "q_min, q_max, q_step",
+    [(-4.0, 4.0, float("nan")), (-4.0, float("inf"), 0.1), (float("-inf"), 4.0, 0.1),
+     (float("nan"), 4.0, 0.1)],
+)
+def test_build_q_grid_rejects_non_finite_parameters(q_min, q_max, q_step):
+    with pytest.raises(ValidationError, match="must be finite"):
+        build_q_grid(q_min, q_max, q_step)
+
+
 def test_scale_grid_validation():
     with pytest.raises(ValidationError):
         ScaleGrid(np.array([2, 2, 3]))
