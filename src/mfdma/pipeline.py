@@ -229,7 +229,8 @@ def _numpy_rows(path, header: bool = False) -> np.ndarray | None:
     """The rows of a valid file as numpy's C reader reads them, else None.
 
     None leaves ``_read_rows`` to name the fault: numpy raised or warned (an
-    empty file warns), or read no value or one that is not finite.  ``header``
+    empty file warns), or read no value or one that is not finite.  A
+    ``MemoryError`` propagates, since the Python reader holds more.  ``header``
     skips a comma-free line 1 that is not a number, as ``_read_rows`` does.
     If line 1 ends with a comma, numpy reads every line without its trailing one.
     """
@@ -248,7 +249,9 @@ def _numpy_rows(path, header: bool = False) -> np.ndarray | None:
                 rows = np.loadtxt(_without_trailing_comma(handle) if first.endswith(",") else path,
                                   delimiter=",", comments=None, encoding="utf-8-sig", ndmin=2,
                                   skiprows=skip)
-    except Exception:  # whatever numpy raised, _read_rows re-reads and names the fault
+    except MemoryError:
+        raise
+    except Exception:  # whatever else numpy raised, _read_rows re-reads and names the fault
         return None
     return rows if rows.size and np.isfinite(rows).all() else None
 
@@ -306,14 +309,6 @@ def write_surface_csv(surface: Surface, path):
     """Write a surface as comma-delimited rows with full float precision."""
     with open(path, "w") as handle:
         handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in surface.values)
-
-
-def csv_digest(series: Series) -> str:
-    """SHA-256 of the text ``write_series_csv`` writes for ``series``."""
-    digest = hashlib.sha256()
-    for piece in _series_csv(series):
-        digest.update(piece.encode())
-    return digest.hexdigest()
 
 
 def _sha256_file(path) -> str:

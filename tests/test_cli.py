@@ -1,10 +1,13 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mfdma import CascadeSpec1D, binomial_measure_1d, write_series_csv
+from mfdma import (
+    CascadeSpec1D, binomial_measure_1d, cli, ingest_series, shuffle_surrogate, write_series_csv,
+)
 from mfdma.cli import format_with_error, main
 
 
@@ -110,14 +113,63 @@ def test_surrogate_subcommand(measure_file, tmp_path, capsys):
     assert "width raw" in capsys.readouterr().out
 
 
+def _tree(root):
+    """Each file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def _surrogate_digests(path, out_dir, seed):
+    """The raw and the shuffled bundle's input digest of one ``surrogate`` run."""
+    assert main(["surrogate", "--input", str(path), "--seed", str(seed),
+                 "--out-dir", str(out_dir)] + GRID) == 0
+    return [json.loads((out_dir / kind / "result.json").read_text())["provenance"]["input_digest"]
+            for kind in ("raw", "shuffled")]
+
+
 def test_surrogate_is_seeded(measure_file, tmp_path):
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     for d in (dir_a, dir_b):
         assert main(["surrogate", "--input", str(measure_file), "--seed", "9",
                      "--out-dir", str(d)] + GRID) == 0
-    assert (dir_a / "surrogate_summary.json").read_bytes() == (
-        dir_b / "surrogate_summary.json"
-    ).read_bytes()
+    tree = _tree(dir_a)
+    assert {"surrogate_summary.json", "raw/result.json", "shuffled/result.json"} <= set(tree)
+    assert tree == _tree(dir_b)
+
+
+def test_shuffled_digest_is_the_sha256_of_the_shuffled_float64_bytes(measure_file, tmp_path):
+    raw, shuffled = _surrogate_digests(measure_file, tmp_path / "seed9", 9)
+    values = shuffle_surrogate(ingest_series(measure_file), 9).values
+    assert shuffled == hashlib.sha256(values.astype("<f8").tobytes()).hexdigest()
+    assert raw == hashlib.sha256(measure_file.read_bytes()).hexdigest()
+    assert shuffled != raw
+    assert _surrogate_digests(measure_file, tmp_path / "seed10", 10)[1] != shuffled
+
+
+def test_shuffled_digest_hashes_the_values_without_a_copy(measure_file, tmp_path, monkeypatch):
+    # traced from the end of the shuffle to the end of the hash that follows it
+    seen, real_sha256 = {}, hashlib.sha256
+
+    def shuffle(series, seed):
+        shuffled = shuffle_surrogate(series, seed)
+        seen["values"] = shuffled.values
+        tracemalloc.start()
+        return shuffled
+
+    def sha256(*args):
+        digest = real_sha256(*args)
+        if args and tracemalloc.is_tracing():
+            seen["hashed"], seen["peak"] = args[0], tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        return digest
+
+    monkeypatch.setattr(cli, "shuffle_surrogate", shuffle)
+    monkeypatch.setattr(cli.hashlib, "sha256", sha256)
+    try:
+        _surrogate_digests(measure_file, tmp_path, 9)
+    finally:
+        tracemalloc.stop()
+    assert np.shares_memory(seen["hashed"], seen["values"])
+    assert seen["peak"] < seen["values"].nbytes / 8
 
 
 def test_compare_requires_analytic_reference(measure_file, capsys):

@@ -331,7 +331,6 @@ def test_series_csv_pieces_make_the_one_shot_text(length, tmp_path):
     path = tmp_path / "s.csv"
     write_series_csv(series, path)
     assert path.read_text() == "".join(f"{v!r}\n" for v in values.tolist())
-    assert pipeline.csv_digest(series) == hashlib.sha256(path.read_bytes()).hexdigest()
     assert ingest_series(path).values.tobytes() == values.tobytes()
 
 
@@ -368,11 +367,22 @@ def test_ingest_holds_little_more_than_its_values(kind, tmp_path):
     assert peak <= 2 * values.nbytes
 
 
-def test_csv_digest_never_holds_the_whole_text():
-    series = Series(np.random.default_rng(6).standard_normal(2**16))
-    digest, peak = _traced_peak(lambda: pipeline.csv_digest(series))
-    assert len(digest) == 64
-    assert peak <= 2 * series.values.nbytes
+@pytest.mark.parametrize("ingest", [ingest_series, ingest_surface])
+def test_ingest_does_not_fall_back_when_numpy_runs_out_of_memory(
+    ingest, tmp_path, monkeypatch, count_calls
+):
+    # the Python reader holds more per value than numpy's
+    path = tmp_path / "in.csv"
+    path.write_text("1.0\n2.0\n")
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(np, "loadtxt", out_of_memory)
+    calls = count_calls(pipeline, "_read_rows")
+    with pytest.raises(MemoryError):
+        ingest(path)
+    assert calls["_read_rows"] == 0
 
 
 # ----------------------------------------------------------------- config
