@@ -6,7 +6,7 @@ surface), ``surrogate`` (shuffle, re-analyze, compare spectrum widths),
 analytic reference), and ``oracle`` (print closed-form tau/alpha/f).
 
 Exit codes: 0 success, 2 validation error, 3 degenerate-data error,
-4 I/O or input-format error.
+4 I/O or input-format error, 5 out of memory.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_IO = 4
+EXIT_MEMORY = 5
 
 
 def format_with_error(value: float, se: float, decimals: int = 3) -> str:
@@ -322,6 +323,10 @@ def main(argv=None) -> int:
     except (InputFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's message; an array allocation's names the bytes it asked for
+        print(f"error: out of memory in {args.command}: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
 
 
 if __name__ == "__main__":

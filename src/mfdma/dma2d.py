@@ -130,7 +130,7 @@ def _carry_columns(steps: np.ndarray, firsts: list) -> None:
         np.cumsum(block, axis=1, out=block)
 
 
-def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None) -> WindowAggregates2D:
+def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> WindowAggregates2D:
     """Window sums and cumulative-sum means for every sliding window.
 
     For the n1 x n2 sub-matrix Z at each position, ``total`` is the plain
@@ -144,10 +144,14 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None) -> WindowAggre
     No pass copies or transposes the surface, and both refresh exactly
     every RECOMPUTE_EVERY steps to bound drift.
 
+    ``rows``, if given, is a (first, stop) pair of window rows, ``first`` a
+    multiple of RECOMPUTE_EVERY: only those rows are formed, each bitwise
+    as the whole-surface call forms it, and the results hold them alone.
+
     ``out``, if given, holds four flat float buffers: ``total`` and
     ``cummean`` are views at the starts of the first two, each at least
-    (N1 - n1 + 1) * (N2 - n2 + 1) long, and the strips are views into the
-    other two, each at least min(N1 - n1 + 1, RECOMPUTE_EVERY) * N2 long.
+    as long as the rows formed, and the strips are views into the other
+    two, each at least min(stop - first, RECOMPUTE_EVERY) * N2 long.
     """
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
@@ -155,12 +159,15 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None) -> WindowAggre
         raise ValidationError(
             f"window {n1}x{n2} does not fit surface of shape {values.shape}"
         )
-    shape = (values.shape[0] - n1 + 1, values.shape[1] - n2 + 1)
+    first, stop = rows or (0, values.shape[0] - n1 + 1)
+    if first % RECOMPUTE_EVERY or not 0 <= first < stop <= values.shape[0] - n1 + 1:
+        raise ValidationError(f"window rows {first}:{stop} do not start a strip of the surface")
+    shape = (stop - first, values.shape[1] - n2 + 1)
     strip = (min(shape[0], RECOMPUTE_EVERY), values.shape[1])
     total, cummean, flat, ramp = map(_take, out or (None,) * 4, (shape, shape, strip, strip))
     for start in range(0, shape[0], RECOMPUTE_EVERY):
         S, T = flat[:shape[0] - start], ramp[:shape[0] - start]
-        _row_sums(values[start:], n1, S, T)
+        _row_sums(values[first + start:], n1, S, T)
         _column_sums(S, n2, False, total[start:start + len(S)])
         _column_sums(T, n2, True, cummean[start:start + len(T)])
     cummean /= float(n1 * n2)
@@ -211,32 +218,60 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     """The table of :func:`mfdma_fluctuations_2d` at each of ``thetas``, from one pass.
 
     Per scale, the window aggregates, the same for every theta, are formed
-    once; each theta then takes its residuals, block RMS and power means
-    from them.
+    once, a strip of RECOMPUTE_EVERY rows at a time, into a window of rows.
+    After each strip, each theta takes the whole block rows now complete
+    there through its residuals and block RMS, in row-major block order.
+    Rows that no theta needs again leave the window's front only when the
+    next strip would not fit, so at scale n it needs at most n + d1 +
+    RECOMPUTE_EVERY rows, d1 being the largest row shift of any theta.
     """
     # a Surface is checked once here, not again by every window_aggregates call
     surface = surface if isinstance(surface, Surface) else Surface(surface)
     values = _as_values(surface, 2)
     grid = _validate_scales(scales, values.shape)
-    # one workspace for the pass: the smallest scale has the most windows
-    rows, cols = (side - int(grid.values[0]) + 1 for side in values.shape)
-    strip = min(rows, RECOMPUTE_EVERY) * values.shape[1]
-    workspace = tuple(np.empty(size) for size in (rows * cols, rows * cols, strip, strip))
-    # the residuals of every theta but the last, which overwrite the window sums
-    spare = np.empty(rows * cols) if len(thetas) > 1 else None
+    (N1, N2), ns = values.shape, grid.values.tolist()
+
+    def cells(n, rows):  # the values of ``rows`` window rows at scale n, at most all of them
+        return min(N1 - n + 1, rows) * (N2 - n + 1)
+
+    # one workspace for the pass, also big enough for the power means of the smallest scale
+    window = max(cells(n, n + max(DetrendConfig2D(n, n, t).shifts[0] for t in thetas)
+                       + RECOMPUTE_EVERY) for n in ns)
+    window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
+    strip = min(N1 - ns[0] + 1, RECOMPUTE_EVERY) * N2
+    workspace = tuple(np.empty(size) for size in (window, window, strip, strip))
+    # the residuals of every theta but the one that overwrites the window sums, a band at a time
+    spare = np.empty(max(cells(n, n + RECOMPUTE_EVERY) for n in ns)) if len(thetas) > 1 else None
 
     def rms_at(n):
-        aggregates = window_aggregates(surface, DetrendConfig2D(n, n), out=workspace)
-        total = aggregates.total
-        rms = []
-        for j, theta in enumerate(thetas, start=1):
-            cfg = DetrendConfig2D(n, n, theta)
-            # laid out as the window sums are, so the block RMS reads the same strides
-            out = total if j == len(thetas) else _take(spare, total.shape)
-            corner = tuple(slice(side - d) for side, d in zip(total.shape, cfg.shifts))
-            resid = residual_matrix_2d(aggregates, cfg, out=out[corner])
-            rms.append(segment_rms_2d(resid, n, out=resid).values)
-        return rms
+        rows, cols = N1 - n + 1, N2 - n + 1
+        total, cummean = (buffer[:window // cols * cols].reshape(-1, cols) for buffer in workspace[:2])
+        cfgs = [DetrendConfig2D(n, n, theta) for theta in thetas]
+        # the largest row shift goes last: every other theta has then taken its block rows
+        order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].shifts[0])
+        done, low, parts = [0] * len(cfgs), 0, [[] for _ in cfgs]  # low: the front's row
+        for start in range(0, rows, RECOMPUTE_EVERY):
+            stop = min(start + RECOMPUTE_EVERY, rows)
+            if stop - low > len(total):
+                keep = min(done)
+                for buffer in workspace[:2]:  # 1-d, so the overlapping move needs no copy
+                    buffer[:(start - keep) * cols] = buffer[(keep - low) * cols:(start - low) * cols]
+                low = keep
+            at = (start - low) * cols
+            window_aggregates(surface, DetrendConfig2D(n, n), rows=(start, stop),
+                              out=(workspace[0][at:], workspace[1][at:]) + workspace[2:])
+            for j in order:
+                (d1, d2), begin = cfgs[j].shifts, done[j] - low
+                done[j] = max(done[j], (stop - d1) // n * n)
+                count = done[j] - low - begin  # residual rows of the newly complete block rows
+                if count:
+                    taken = slice(begin, begin + count + d1)
+                    aggregates = WindowAggregates2D(total[taken], cummean[taken], n, n)
+                    # laid out as the window sums are, so the block RMS reads the same strides
+                    out = total[begin:] if j == order[-1] else _take(spare, (count, cols))
+                    resid = residual_matrix_2d(aggregates, cfgs[j], out=out[:count, :cols - d2])
+                    parts[j].append(segment_rms_2d(resid, n, out=resid).values)
+        return [np.concatenate(rms) for rms in parts]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace[0])
 

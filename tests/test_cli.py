@@ -1,12 +1,18 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfdma
 from mfdma import (
-    CascadeSpec1D, binomial_measure_1d, cli, ingest_series, shuffle_surrogate, write_series_csv,
+    CascadeSpec1D, binomial_measure_1d, cli, ingest_series, pipeline, shuffle_surrogate,
+    write_series_csv,
 )
 from mfdma.cli import format_with_error, main
 
@@ -96,6 +102,47 @@ def test_exit_code_io_errors(tmp_path, capsys):
     bad.write_text("1\n2\nwat\n")
     assert main(["analyze", "--input", str(bad)] + GRID) == 4
     assert "line 3" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_one_error_line_and_exit_5(measure_file, monkeypatch, capsys):
+    message = "Unable to allocate 8.00 GiB for an array with shape (1073741824,)"
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(pipeline, "analyze_all", exhausted)
+    assert main(["analyze", "--input", str(measure_file)] + GRID) == 5
+    assert capsys.readouterr().err == f"error: out of memory in analyze: {message}\n"
+
+
+# the child caps its own address space a little above what the import left it
+LIMITED_CLI = """
+import resource, sys
+import mfdma.cli
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) * 1024
+resource.setrlimit(resource.RLIMIT_AS, (size + (16 << 20), resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.exit(mfdma.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs Linux's /proc")
+def test_a_child_out_of_address_space_exits_5_without_a_traceback(tmp_path):
+    out = tmp_path / "noise.csv"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(Path(mfdma.__file__).parents[1]),
+                                           os.environ.get("PYTHONPATH", "")]))
+    # 2^22 draws need 32 MB at once, twice the room the child leaves itself
+    done = subprocess.run(
+        [sys.executable, "-c", LIMITED_CLI, "generate", "noise", "--length", "4194304",
+         "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    lines = done.stderr.splitlines()
+    assert done.returncode == 5, done.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory in generate: ")
+    assert "Traceback" not in done.stderr
+    assert not out.exists()
 
 
 def test_surrogate_subcommand(measure_file, tmp_path, capsys):

@@ -19,6 +19,8 @@ from mfdma import (
 )
 from mfdma import dma1d, dma2d
 from mfdma.dma2d import RECOMPUTE_EVERY, _plane_residuals
+from mfdma.pipeline import AnalysisConfig, _resolve_grids
+from mfdma.spectrum import as_scale_grid
 
 
 def naive_aggregates(values, n1, n2):
@@ -150,6 +152,19 @@ def test_window_aggregates_return_fresh_arrays_and_keep_their_input(rng):
             assert not np.shares_memory(a, b)
     assert not np.shares_memory(first.total, first.cummean)
     assert np.array_equal(values, kept)
+
+
+def test_window_aggregates_of_a_row_range_are_bitwise_those_rows_of_the_whole(rng):
+    values = rng.standard_normal((300, 60))
+    cfg = DetrendConfig2D(5, 4)
+    whole = window_aggregates(values, cfg)
+    for first, stop in [(0, 7), (RECOMPUTE_EVERY, 2 * RECOMPUTE_EVERY), (2 * RECOMPUTE_EVERY, 296)]:
+        part = window_aggregates(values, cfg, rows=(first, stop))
+        assert part.total.tobytes() == whole.total[first:stop].tobytes()
+        assert part.cummean.tobytes() == whole.cummean[first:stop].tobytes()
+    for rows in [(1, 7), (0, 0), (RECOMPUTE_EVERY, 297)]:
+        with pytest.raises(ValidationError):
+            window_aggregates(values, cfg, rows=rows)
 
 
 def test_window_aggregates_reject_oversize_window():
@@ -352,6 +367,64 @@ def test_pass_peak_memory_on_the_default_q_grid(rng, estimator, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound * values.nbytes
+
+
+# ------------------------------------------- the pass in bands of block rows
+
+# more rows than one strip, and scales up to the N/4 cap, past one strip too
+BANDED_SHAPE, BANDED_SCALES = (600, 530), build_scale_grid(2, 132, 12)
+
+
+# the largest shift need not come last; at scales up to 4 the pass's workspace
+# is sized by the power means of the smallest scale, not by its row window
+@pytest.mark.parametrize("scales", [BANDED_SCALES, [2, 3, 4]], ids=["to-cap", "small"])
+@pytest.mark.parametrize("thetas", [[0.0], [0.5], [1.0], THETAS, THETAS[::-1]], ids=str)
+def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, scales):
+    values = rng.standard_normal(BANDED_SHAPE)
+    qs = build_q_grid(-4.0, 4.0, 0.5)
+
+    def rms_at(n):
+        aggregates = window_aggregates(values, DetrendConfig2D(n, n))
+        return [segment_rms_2d(residual_matrix_2d(aggregates, cfg), n).values
+                for cfg in (DetrendConfig2D(n, n, theta) for theta in thetas)]
+
+    expected = dma1d._fluctuation_tables(as_scale_grid(scales), qs, rms_at)
+    tables = dma2d._mfdma_tables_2d(values, scales, qs, thetas)
+    for table, reference in zip(tables, expected, strict=True):
+        assert table.values.tobytes() == reference.values.tobytes()
+
+
+def test_the_banded_pass_forms_each_window_row_once(rng, monkeypatch):
+    values = rng.standard_normal(BANDED_SHAPE)
+    formed = {}
+    aggregate = dma2d.window_aggregates
+
+    def spy(surface, cfg, **kwargs):
+        start, stop = kwargs["rows"]
+        assert start == sum(formed.get(cfg.n1, []))
+        formed.setdefault(cfg.n1, []).append(stop - start)
+        return aggregate(surface, cfg, **kwargs)
+
+    monkeypatch.setattr(dma2d, "window_aggregates", spy)
+    dma2d._mfdma_tables_2d(values, BANDED_SCALES, [-1.0, 2.0], THETAS)
+    assert sorted(formed) == BANDED_SCALES.values.tolist()
+    for n, strips in formed.items():
+        assert sum(strips) == values.shape[0] - n + 1
+        assert all(rows == RECOMPUTE_EVERY for rows in strips[:-1])
+
+
+@pytest.mark.parametrize("thetas, bound", [([0.0], 1.25), (THETAS, 2.6)], ids=["one", "three"])
+def test_the_banded_pass_holds_no_surface_sized_scratch(cascade_k10, thetas, bound):
+    # with window sums and means over the whole surface the pass read 2.25x
+    # with one theta, and 3.27x with three, whose spare residuals spanned it too
+    scales, qs, *_ = _resolve_grids(AnalysisConfig(mode="surface"), cascade_k10.shape)
+    tracemalloc.start()
+    try:
+        dma2d._mfdma_tables_2d(cascade_k10, scales, qs, thetas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound * cascade_k10.values.nbytes
 
 
 def test_mfdma2d_scale_cap_is_enforced():
