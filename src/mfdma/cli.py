@@ -205,14 +205,12 @@ def cmd_compare(args) -> int:
     flag, mode = ("p1", "series") if args.analytic_p1 is not None else ("weights", "surface")
     if cfg.mode != mode:
         raise ValidationError(f"--analytic-{flag} implies --mode {mode}")
-    # the reference needs no data, so a bad one fails before the input is read
-    weights = _cascade_weights(args.analytic_p1, args.analytic_weights)
+    # the reference needs no data, so a bad one, or one that overflows, fails before the read
+    qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step).values
+    tau_ref = analytic_tau(_cascade_weights(args.analytic_p1, args.analytic_weights), qs)
     data, digest = ingest_input(cfg)
     cfgs = [replace(cfg, method=method, theta=theta) for _, method, theta in COMPARE_METHODS]
     bundles = dict(zip([label for label, *_ in COMPARE_METHODS], analyze_all(cfgs, data, digest)))
-
-    qs = bundles["mfdma_theta0"].estimate.qs.values
-    tau_ref = analytic_tau(weights, qs)
 
     dtaus = {label: tau_error(b.estimate, tau_ref) for label, b in bundles.items()}
     sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}

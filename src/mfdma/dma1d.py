@@ -2,8 +2,8 @@
 
 The pipeline per scale n is: cumulative profile -> moving average inside a
 window positioned by theta -> residuals -> per-segment RMS -> q-order
-power means.  A least-squares polynomial variant (MFDFA) is included as
-the baseline estimator.  The moving-average window size and the
+power means.  A least-squares line variant (first-order MFDFA) is the
+baseline estimator.  The moving-average window size and the
 partitioning segment size are the same n by construction; decoupling them
 destroys the power-law scaling of F_q(n).
 """
@@ -308,14 +308,14 @@ def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
     # one workspace for the pass: the largest scale has the most block sums
     sums = max((y.size // n + 1) * (n + 1) for n in grid.values.tolist())
     workspace = (np.empty(sums), np.empty(y.size))
-    # the residuals of every theta but the last, which overwrite the averages
+    # a lone theta's residuals overwrite the averages; several thetas' each go here
     spare = np.empty(y.size) if len(thetas) > 1 else None
 
     def rms_at(n):
         means = moving_average(y, DetrendConfig(n), out=workspace)
+        out = means if spare is None else spare
         rms = []
-        for j, theta in enumerate(thetas, start=1):
-            out = means if j == len(thetas) else spare
+        for theta in thetas:
             resid = residual_series(y, DetrendConfig(n, theta), out=out, means=means)
             rms.append(segment_rms(resid, n, out=resid).values)
         return rms
@@ -323,49 +323,41 @@ def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
     return _fluctuation_tables(grid, qs, rms_at, workspace[1])
 
 
-def _polynomial_residuals(segments: np.ndarray, order: int, *, out=None) -> np.ndarray:
-    """Residuals of per-segment least-squares polynomial fits.
+def _line_residuals(segments: np.ndarray, *, out=None) -> np.ndarray:
+    """Residuals of per-segment least-squares line fits.
 
-    segments has shape (count, n).  order == 1 uses the explicit centered
-    normal equations, which detrend exactly-linear data to exact zeros, and
-    writes the residuals, then the slope terms after them, to ``out``, a
-    flat float buffer of at least 2 * count * n values, if given.
+    segments has shape (count, n); the centered normal equations detrend
+    exact lines to exact zeros.  The residuals, then the slope terms, go to
+    ``out``, a flat float buffer of at least 2 * count * n values, if given.
     """
     count, n = segments.shape
     u = np.arange(n, dtype=float)
-    if order == 1:
-        uc = u - u.mean()
-        denom = float(np.dot(uc, uc))
-        slope = segments @ uc / denom
-        resid, slope_terms = _take(out, (2, count, n))
-        np.subtract(segments, segments.mean(axis=1)[:, None], out=resid)
-        return np.subtract(resid, np.multiply(slope[:, None], uc, out=slope_terms), out=resid)
-    vander = np.vander(u / (n - 1), order + 1, increasing=True)
-    coef, *_ = np.linalg.lstsq(vander, segments.T, rcond=None)
-    return segments - (vander @ coef).T
+    uc = u - u.mean()
+    slope = segments @ uc / float(np.dot(uc, uc))
+    resid, slope_terms = _take(out, (2, count, n))
+    np.subtract(segments, segments.mean(axis=1)[:, None], out=resid)
+    return np.subtract(resid, np.multiply(slope[:, None], uc, out=slope_terms), out=resid)
 
 
 def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTable:
-    """Baseline fluctuation functions by per-segment polynomial detrending.
+    """Baseline fluctuation functions by per-segment line detrending.
 
-    The profile is cut into floor(N/n) disjoint segments; a degree-``order``
-    polynomial fit is removed from each, and the residual RMS values are
-    aggregated exactly as in :func:`mfdma_fluctuations_1d`.
+    The profile is cut into floor(N/n) disjoint segments; a least-squares
+    line (``order`` 1, the only one) is removed from each, and the residual
+    RMS values are aggregated exactly as in :func:`mfdma_fluctuations_1d`.
     """
-    if order < 1:
-        raise ValidationError(f"detrending order must be at least 1, got {order}")
+    if order != 1:
+        raise ValidationError(f"detrending order must be 1, a line fit, got {order}")
     values = _as_values(series, 1)
     grid = _validate_scales(scales, values.shape)
-    if grid.values[0] < order + 2:
-        raise ValidationError(
-            f"smallest scale {grid.values[0]} must be at least order + 2 = {order + 2}"
-        )
+    if grid.values[0] < 3:
+        raise ValidationError(f"smallest scale {grid.values[0]} must be at least 3 for a line fit")
     y = _compensated_cumsum(values)
     # the residuals and squares and the slope terms, then the power means
     workspace = np.empty(2 * y.size)
 
     def rms_at(n):
-        resid = _polynomial_residuals(_blocks(y, n), order, out=workspace).reshape(-1)
+        resid = _line_residuals(_blocks(y, n), out=workspace).reshape(-1)
         return [segment_rms(resid, n, out=resid).values]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

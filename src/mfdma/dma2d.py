@@ -240,37 +240,37 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
     strip = min(N1 - ns[0] + 1, RECOMPUTE_EVERY) * N2
     workspace = tuple(np.empty(size) for size in (window, window, strip, strip))
-    # the residuals of every theta but the one that overwrites the window sums, a band at a time
+    # a lone theta's residuals overwrite the window sums; several thetas' each go here
     spare = np.empty(max(cells(n, n + RECOMPUTE_EVERY) for n in ns)) if len(thetas) > 1 else None
 
     def rms_at(n):
         rows, cols = N1 - n + 1, N2 - n + 1
         total, cummean = (buffer[:window // cols * cols].reshape(-1, cols) for buffer in workspace[:2])
         cfgs = [DetrendConfig2D(n, n, theta) for theta in thetas]
-        # the largest row shift goes last: every other theta has then taken its block rows
-        order = sorted(range(len(cfgs)), key=lambda j: cfgs[j].shifts[0])
-        done, low, parts = [0] * len(cfgs), 0, [[] for _ in cfgs]  # low: the front's row
+        reach = max(cfg.shifts[0] for cfg in cfgs)
+        low, parts = 0, [[] for _ in cfgs]  # low: the front's row
+        def whole(row, d1):  # residual rows in whole block rows, from the rows below ``row``
+            return max(0, (row - d1) // n * n)
         for start in range(0, rows, RECOMPUTE_EVERY):
             stop = min(start + RECOMPUTE_EVERY, rows)
             if stop - low > len(total):
-                keep = min(done)
+                keep = whole(start, reach)  # no theta reads a row below this again
                 for buffer in workspace[:2]:  # 1-d, so the overlapping move needs no copy
                     buffer[:(start - keep) * cols] = buffer[(keep - low) * cols:(start - low) * cols]
                 low = keep
             at = (start - low) * cols
             window_aggregates(surface, DetrendConfig2D(n, n), rows=(start, stop),
                               out=(workspace[0][at:], workspace[1][at:]) + workspace[2:])
-            for j in order:
-                (d1, d2), begin = cfgs[j].shifts, done[j] - low
-                done[j] = max(done[j], (stop - d1) // n * n)
-                count = done[j] - low - begin  # residual rows of the newly complete block rows
-                if count:
-                    taken = slice(begin, begin + count + d1)
+            for cfg, rms in zip(cfgs, parts):
+                d1, d2 = cfg.shifts
+                begin, end = whole(start, d1) - low, whole(stop, d1) - low  # new residual rows
+                if end > begin:
+                    taken = slice(begin, end + d1)
                     aggregates = WindowAggregates2D(total[taken], cummean[taken], n, n)
                     # laid out as the window sums are, so the block RMS reads the same strides
-                    out = total[begin:] if j == order[-1] else _take(spare, (count, cols))
-                    resid = residual_matrix_2d(aggregates, cfgs[j], out=out[:count, :cols - d2])
-                    parts[j].append(segment_rms_2d(resid, n, out=resid).values)
+                    out = total[begin:] if spare is None else _take(spare, (end - begin, cols))
+                    resid = residual_matrix_2d(aggregates, cfg, out=out[:end - begin, :cols - d2])
+                    rms.append(segment_rms_2d(resid, n, out=resid).values)
         return [np.concatenate(rms) for rms in parts]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace[0])

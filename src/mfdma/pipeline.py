@@ -15,7 +15,7 @@ import re
 import typing
 import warnings
 from array import array
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +355,9 @@ def analyze_all(cfgs, data, digest: str) -> list[ResultBundle]:
     The MFDMA configs share one estimator pass, which forms the window
     averages, the same for every theta, once per scale.
     """
+    # every table is built from the first config's grids, which all must then share
+    if any(replace(cfg, method=cfgs[0].method, theta=cfgs[0].theta) != cfgs[0] for cfg in cfgs):
+        raise ValidationError("the configs of one pass may differ only in method and theta")
     series = cfgs[0].mode == "series"
     shape = _as_values(data, 1 if series else 2).shape
     scales, qs, fit_range, resolved = _resolve_grids(cfgs[0], shape)

@@ -170,7 +170,11 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
         raise ValidationError(f"q_step must be positive, got {q_step}")
     if q_max <= q_min:
         raise ValidationError(f"need q_min < q_max, got ({q_min}, {q_max})")
-    count = int(round((q_max - q_min) / q_step)) + 1
+    steps = (q_max - q_min) / q_step
+    if not steps < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array
+        raise ValidationError(f"q range ({q_min}, {q_max}) in steps of {q_step} needs "
+                              f"{steps:g} steps, more than numpy can index")
+    count = int(round(steps)) + 1
     if not np.isclose(q_min + (count - 1) * q_step, q_max, rtol=0, atol=1e-9):
         raise ValidationError(
             f"q range ({q_min}, {q_max}) is not an integer number of steps {q_step}"
@@ -287,26 +291,34 @@ def _check_weights(weights) -> np.ndarray:
     return w
 
 
+def _closed_form(name, weights, q, formula) -> np.ndarray | float:
+    """``formula(w, powers)`` of a cascade's weights w at each q, powers[q, i] = w_i^q.
+
+    A value that is not finite (some w_i^q overflows or underflows) raises a
+    ValidationError naming the first such q; numpy's warnings stay silent.
+    """
+    w, q = _check_weights(weights), np.asarray(q, dtype=float)
+    with np.errstate(all="ignore"):
+        out = formula(w, w[None, :] ** np.atleast_1d(q)[:, None])
+    if not np.all(np.isfinite(out)):
+        first = np.atleast_1d(q)[~np.isfinite(out)][0]
+        raise ValidationError(f"closed-form {name}(q) is not finite at q={first:g}")
+    return out.reshape(q.shape) if q.ndim else float(out[0])
+
+
 def analytic_tau(weights, q) -> np.ndarray | float:
     """Closed-form mass exponent -log2(sum_i w_i^q) of a cascade.
 
     ``weights`` are the mass fractions of one refinement step: two for the
     binomial cascade, four for the square cascade.
     """
-    w = _check_weights(weights)
-    q = np.asarray(q, dtype=float)
-    powers = w[None, :] ** np.atleast_1d(q)[:, None]
-    out = -np.log(powers.sum(axis=1)) / LN2
-    return out.reshape(q.shape) if q.ndim else float(out[0])
+    return _closed_form("tau", weights, q, lambda w, powers: -np.log(powers.sum(axis=1)) / LN2)
 
 
 def analytic_alpha(weights, q) -> np.ndarray | float:
     """Closed-form singularity strength alpha(q) = tau'(q) of a cascade."""
-    w = _check_weights(weights)
-    q = np.asarray(q, dtype=float)
-    powers = w[None, :] ** np.atleast_1d(q)[:, None]
-    out = -(powers * np.log(w)[None, :]).sum(axis=1) / (powers.sum(axis=1) * LN2)
-    return out.reshape(q.shape) if q.ndim else float(out[0])
+    return _closed_form("alpha", weights, q, lambda w, powers:
+                        -(powers * np.log(w)[None, :]).sum(axis=1) / (powers.sum(axis=1) * LN2))
 
 
 def analytic_f(weights, q) -> np.ndarray | float:

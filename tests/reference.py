@@ -42,3 +42,110 @@ def exact_window_mean(profile_values: np.ndarray, n: int) -> np.ndarray:
     """Mean of every length-n window, each sum exactly rounded by ``math.fsum``."""
     y = np.asarray(profile_values, dtype=float).tolist()
     return np.array([math.fsum(y[i:i + n]) / n for i in range(len(y) - n + 1)])
+
+
+# Literal transcriptions of the documented estimator conventions, one window or
+# block at a time.  They share no code with the package beyond numpy.
+
+def block_rms(residuals, n: int) -> np.ndarray:
+    """RMS of each whole side-n block of a residual series or matrix.
+
+    A series is cut into floor(L / n) segments of n points; a matrix into
+    floor(L1 / n) x floor(L2 / n) blocks of n x n, listed in row-major
+    order.  Every remainder is dropped.  F_v = sqrt(mean of eps^2 over v).
+    """
+    eps = np.asarray(residuals, dtype=float)
+    if eps.ndim == 1:
+        return np.array([math.sqrt(np.mean(eps[v * n:(v + 1) * n] ** 2))
+                         for v in range(eps.size // n)])
+    return np.array([math.sqrt(np.mean(eps[b1 * n:(b1 + 1) * n, b2 * n:(b2 + 1) * n] ** 2))
+                     for b1 in range(eps.shape[0] // n) for b2 in range(eps.shape[1] // n)])
+
+
+def power_mean(rms: np.ndarray, q: float) -> float:
+    """F_q = (mean_v F_v^q)^(1/q), and F_0 = exp(mean_v ln F_v)."""
+    rms = np.asarray(rms, dtype=float)
+    if q == 0:
+        return float(np.exp(np.mean(np.log(rms))))
+    return float(np.mean(rms ** q) ** (1.0 / q))
+
+
+def fluctuation_table(rms_at, scales, qs) -> np.ndarray:
+    """F_q(n): one row per scale n, one column per q, from the F_v of ``rms_at(n)``."""
+    return np.array([[power_mean(rms_at(n), q) for q in qs] for n in scales])
+
+
+def mfdma_rms_1d(values, n: int, theta: float) -> np.ndarray:
+    """Per-segment RMS of 1-d MFDMA at window size n and position theta.
+
+    The profile is y(i) = x(1) + ... + x(i).  The moving average at i is
+    the mean of y over the n points [i - ceil((n-1)(1-theta)), i +
+    floor((n-1)theta)], taken at every i whose window lies inside the
+    profile; eps(i) = y(i) - that mean, and the eps series goes to
+    :func:`block_rms`.  The 1-d window puts floor((n-1)theta) points ahead
+    of i; the 2-d shift of :func:`mfdma_rms_2d` is min(floor(n theta), n-1)
+    instead (at n = 4, theta = 0.5: one point against two).  Which of the
+    two the paper means is not yet settled; both are transcribed as coded.
+    """
+    y = np.cumsum(np.asarray(values, dtype=float))
+    behind, ahead = math.ceil((n - 1) * (1 - theta)), math.floor((n - 1) * theta)
+    eps = [y[i] - np.mean(y[i - behind:i + ahead + 1]) for i in range(behind, y.size - ahead)]
+    return block_rms(np.array(eps), n)
+
+
+def mfdma_rms_2d(values, n: int, theta: float) -> np.ndarray:
+    """Per-block RMS of 2-d MFDMA at window side n and position theta.
+
+    For the n x n window W(j) of the surface whose top-left entry is j =
+    (j1, j2), total(j) is the sum of W(j) and cummean(j) the mean over its
+    n^2 entries of the 2-d cumulative sum of W(j).  With the shift d =
+    min(floor(n theta), n - 1) on both axes, eps(j) = total(j) -
+    cummean(j + (d, d)) at every j where both windows lie in the surface;
+    the eps matrix goes to :func:`block_rms`.  See :func:`mfdma_rms_1d`
+    for how this shift differs from the 1-d one.
+    """
+    x = np.asarray(values, dtype=float)
+    d = min(math.floor(n * theta), n - 1)
+    rows, cols = x.shape[0] - n + 1 - d, x.shape[1] - n + 1 - d
+    eps = np.empty((rows, cols))
+    for j1 in range(rows):
+        for j2 in range(cols):
+            shifted = x[j1 + d:j1 + d + n, j2 + d:j2 + d + n]
+            eps[j1, j2] = x[j1:j1 + n, j2:j2 + n].sum() - shifted.cumsum(0).cumsum(1).mean()
+    return block_rms(eps, n)
+
+
+def mfdfa_rms_1d(values, n: int) -> np.ndarray:
+    """Per-segment RMS of first-order 1-d MFDFA at segment size n.
+
+    The profile y (as in :func:`mfdma_rms_1d`) is cut into floor(N / n)
+    segments of n points, the remainder dropped; each loses the degree-1
+    ``np.polyfit`` over positions 0..n-1, and gives the RMS of the rest.
+    """
+    y = np.cumsum(np.asarray(values, dtype=float))
+    u = np.arange(n)
+    rms = []
+    for v in range(y.size // n):
+        segment = y[v * n:(v + 1) * n]
+        rms.append(math.sqrt(np.mean((segment - np.polyval(np.polyfit(u, segment, 1), u)) ** 2)))
+    return np.array(rms)
+
+
+def mfdfa_rms_2d(values, n: int) -> np.ndarray:
+    """Per-block RMS of 2-d MFDFA at block side n.
+
+    The surface is cut into whole n x n blocks B, row-major, remainders
+    dropped.  Each block's own 2-d cumulative sum C(u, v) = sum of B over
+    [0, u] x [0, v] loses its least-squares plane a + b u + c v, fitted by
+    ``np.linalg.lstsq``, and gives the RMS of the rest.
+    """
+    x = np.asarray(values, dtype=float)
+    u, v = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    plane = np.column_stack([np.ones(n * n), u.ravel(), v.ravel()])
+    rms = []
+    for b1 in range(x.shape[0] // n):
+        for b2 in range(x.shape[1] // n):
+            c = x[b1 * n:(b1 + 1) * n, b2 * n:(b2 + 1) * n].cumsum(0).cumsum(1).ravel()
+            fit = plane @ np.linalg.lstsq(plane, c, rcond=None)[0]
+            rms.append(math.sqrt(np.mean((c - fit) ** 2)))
+    return np.array(rms)

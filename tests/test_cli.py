@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -273,8 +274,11 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
          "weights must sum to 1 within 1e-12, got 2.0"),
         ("surface", ["--analytic-weights", "nan,0.2,0.3,0.4"],
          "analytic formulas need strictly positive weights"),
+        # 0.1^-400 overflows, so tau(q) is not finite on this grid
+        ("surface", ["--analytic-weights", "0.1,0.2,0.3,0.4", "--q-min", "-400", "--q-max", "400",
+                     "--q-step", "1"], "closed-form tau(q) is not finite at q=-400"),
     ],
-    ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface"],
+    ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface", "tau-overflow-on-surface"],
 )
 def test_compare_rejects_a_bad_reference_before_reading(
     mode, reference, message, measure_file, tmp_path, monkeypatch, capsys
@@ -473,19 +477,38 @@ def test_oracle_rejects_a_nan_weight(capsys):
     assert capsys.readouterr() == ("", "error: analytic formulas need strictly positive weights\n")
 
 
+def test_oracle_rejects_a_q_grid_whose_closed_form_overflows(capsys):
+    # 0.3^-1000 overflows, so tau, alpha and f are not finite there; numpy's warnings
+    # would fail this test, as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["oracle", "--p1", "0.3", "--q-min", "-1000", "--q-max", "1000", "--q-step", "1"]
+        assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: closed-form tau(q) is not finite at q=-1000\n")
+
+
+NOT_FINITE = "error: q_min, q_max and q_step must be finite, got ("
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["analyze", "--q-step", "nan"],
-        ["analyze", "--q-max", "inf"],
-        ["analyze", "--q-min=-inf"],
-        ["analyze", "--config", "nan-step.json"],
-        ["oracle", "--p1", "0.3", "--q-step", "nan"],
+        (["analyze", "--q-step", "nan"], NOT_FINITE),
+        (["analyze", "--q-max", "inf"], NOT_FINITE),
+        (["analyze", "--q-min=-inf"], NOT_FINITE),
+        (["analyze", "--config", "nan-step.json"], NOT_FINITE),
+        (["oracle", "--p1", "0.3", "--q-step", "nan"], NOT_FINITE),
+        # numpy cannot index 1e20 values; the step count of the next one overflows to inf
+        (["oracle", "--p1", "0.3", "--q-min", "0", "--q-max", "1e20", "--q-step", "1"],
+         "error: q range (0.0, 1e+20) in steps of 1.0 needs 1e+20 steps, more than numpy"),
+        (["analyze", "--q-min=-1e308", "--q-max", "1e308", "--q-step", "1e307"],
+         "error: q range (-1e+308, 1e+308) in steps of 1e+307 needs inf steps, more than numpy"),
     ],
-    ids=["q-step-nan", "q-max-inf", "q-min-minus-inf", "config-q-step-nan", "oracle-q-step-nan"],
+    ids=["q-step-nan", "q-max-inf", "q-min-minus-inf", "config-q-step-nan", "oracle-q-step-nan",
+         "oracle-1e20-steps", "analyze-inf-steps"],
 )
-def test_a_non_finite_q_grid_is_a_validation_error(argv, measure_file, tmp_path, monkeypatch,
-                                                   capsys):
+def test_a_non_finite_q_grid_is_a_validation_error(argv, message, measure_file, tmp_path,
+                                                   monkeypatch, capsys):
     # json.loads reads NaN, so a config file can hold one too
     (tmp_path / "nan-step.json").write_text('{"q_step": NaN}')
     monkeypatch.chdir(tmp_path)
@@ -493,7 +516,7 @@ def test_a_non_finite_q_grid_is_a_validation_error(argv, measure_file, tmp_path,
         argv = argv + ["--input", str(measure_file)]
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: q_min, q_max and q_step must be finite, got (")
+    assert err.startswith(message)
     assert err.count("\n") == 1
 
 

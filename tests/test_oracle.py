@@ -1,0 +1,74 @@
+"""Every estimator path against the literal transcriptions in ``reference``."""
+import functools
+
+import numpy as np
+import pytest
+
+from mfdma import (
+    mfdfa_fluctuations_1d,
+    mfdfa_fluctuations_2d,
+    mfdma_fluctuations_1d,
+    mfdma_fluctuations_2d,
+)
+from mfdma import dma1d, dma2d
+from mfdma.dma2d import RECOMPUTE_EVERY
+
+import reference
+
+QS = [-3.0, -1.0, 0.0, 1.0, 3.0]
+THETAS = [0.0, 0.3, 0.5, 1.0]
+SERIES = np.random.default_rng(257).standard_normal(257)
+SCALES_1D = [3, 5, 8, 13, 21, 34, 64]
+# at n = 3 the 148 window rows cross a strip of RECOMPUTE_EVERY rows, and the 2-d
+# pass's row window, sized for the strip plus a scale's block row, must move its front
+SURFACE = np.random.default_rng(150).standard_normal((150, 24))
+SCALES_2D = [3, 4, 6]
+assert SURFACE.shape[0] - SCALES_2D[0] + 1 > RECOMPUTE_EVERY
+
+
+ORACLES = {
+    "mfdma_1d": (reference.mfdma_rms_1d, SERIES, SCALES_1D),
+    "mfdma_2d": (reference.mfdma_rms_2d, SURFACE, SCALES_2D),
+    "mfdfa_1d": (reference.mfdfa_rms_1d, SERIES, SCALES_1D),
+    "mfdfa_2d": (reference.mfdfa_rms_2d, SURFACE, SCALES_2D),
+}
+
+
+@functools.cache
+def expected(estimator, theta=None):
+    """The literal F_q(n) table of one ``ORACLES`` estimator, at ``theta`` for MFDMA."""
+    rms_at, data, scales = ORACLES[estimator]
+    args = () if theta is None else (theta,)
+    return reference.fluctuation_table(lambda n: rms_at(data, n, *args), scales, QS)
+
+
+def assert_matches(table, estimator, theta=None):
+    np.testing.assert_allclose(table.values, expected(estimator, theta), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_mfdma_1d_matches_the_literal_window(theta):
+    assert_matches(mfdma_fluctuations_1d(SERIES, SCALES_1D, QS, theta), "mfdma_1d", theta)
+
+
+@pytest.mark.parametrize("theta", THETAS)
+def test_mfdma_2d_matches_the_literal_window(theta):
+    assert_matches(mfdma_fluctuations_2d(SURFACE, SCALES_2D, QS, theta), "mfdma_2d", theta)
+
+
+# compare's thetas, and a pass that lists the largest shift first
+@pytest.mark.parametrize("thetas", [(0.0, 0.5, 1.0), (1.0, 0.3, 0.0)], ids=["0-0.5-1", "1-0.3-0"])
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_a_shared_mfdma_pass_matches_the_literal_window_at_each_theta(dim, thetas):
+    tables = (dma1d._mfdma_tables_1d(SERIES, SCALES_1D, QS, list(thetas)) if dim == "1d"
+              else dma2d._mfdma_tables_2d(SURFACE, SCALES_2D, QS, list(thetas)))
+    for table, theta in zip(tables, thetas, strict=True):
+        assert_matches(table, f"mfdma_{dim}", theta)
+
+
+def test_mfdfa_1d_matches_literal_line_fits():
+    assert_matches(mfdfa_fluctuations_1d(SERIES, SCALES_1D, QS), "mfdfa_1d")
+
+
+def test_mfdfa_2d_matches_literal_plane_fits():
+    assert_matches(mfdfa_fluctuations_2d(SURFACE, SCALES_2D, QS), "mfdfa_2d")

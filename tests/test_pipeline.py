@@ -476,6 +476,20 @@ def test_run_pipeline_golden_backward_h2(binomial_k14, tmp_path):
 
 
 @pytest.mark.parametrize("method", ["mfdma", "mfdfa"])
+def test_analyze_all_rejects_configs_that_differ_beyond_method_and_theta(method, rng):
+    # every table comes from the first config's grids; a second q step would be echoed
+    # in its provenance over a table of the first one's q
+    from dataclasses import replace
+
+    cfg = AnalysisConfig(method=method, n_min=8, n_max=64, n_count=8)
+    others = [replace(cfg, theta=0.5), replace(cfg, method="mfdfa"), replace(cfg, q_step=0.5)]
+    data = Series(rng.standard_normal(4096))
+    assert len(pipeline.analyze_all(others[:2], data, "digest")) == 2
+    with pytest.raises(ValidationError, match="may differ only in method and theta"):
+        pipeline.analyze_all([cfg] + others, data, "digest")
+
+
+@pytest.mark.parametrize("method", ["mfdma", "mfdfa"])
 @pytest.mark.parametrize("mode", ["series", "surface"])
 @pytest.mark.parametrize("options, message", [
     ({"q_step": 4.0}, "need at least 7 q points for half_window=3"),

@@ -52,12 +52,17 @@ def test_build_q_grid_hits_zero_exactly():
 
 
 @pytest.mark.parametrize(
-    "q_min, q_max, q_step",
-    [(-4.0, 4.0, float("nan")), (-4.0, float("inf"), 0.1), (float("-inf"), 4.0, 0.1),
-     (float("nan"), 4.0, 0.1)],
+    "q_min, q_max, q_step, match",
+    [(-4.0, 4.0, float("nan"), "must be finite"), (-4.0, float("inf"), 0.1, "must be finite"),
+     (float("-inf"), 4.0, 0.1, "must be finite"), (float("nan"), 4.0, 0.1, "must be finite"),
+     # a step count that numpy cannot index, or that is not finite
+     (0.0, 1e20, 1.0, "needs 1e[+]20 steps, more than numpy can index"),
+     (-1e308, 1e308, 1e307, "needs inf steps, more than numpy can index")],
+    ids=["-4.0-4.0-nan", "-4.0-inf-0.1", "-inf-4.0-0.1", "nan-4.0-0.1", "0.0-1e+20-1.0",
+         "-1e+308-1e+308-1e+307"],
 )
-def test_build_q_grid_rejects_non_finite_parameters(q_min, q_max, q_step):
-    with pytest.raises(ValidationError, match="must be finite"):
+def test_build_q_grid_rejects_non_finite_parameters(q_min, q_max, q_step, match):
+    with pytest.raises(ValidationError, match=match):
         build_q_grid(q_min, q_max, q_step)
 
 
@@ -179,6 +184,15 @@ def test_analytic_alpha_1d_values():
     # dominant-weight limit: alpha -> -ln(0.7)/ln(2) as q -> +inf
     assert analytic_alpha_1d(0.3, 50.0) == pytest.approx(-np.log(0.7) / LN2, abs=1e-4)
     assert analytic_f_1d(0.3, 0.0) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("oracle", [analytic_tau, analytic_alpha, analytic_f])
+def test_analytic_oracles_name_the_first_q_that_overflows(oracle):
+    # 0.3^-1000 overflows to inf and 0.7^2100 underflows to 0
+    with pytest.raises(ValidationError, match=r"is not finite at q=-1000$"):
+        oracle((0.3, 0.7), np.array([-1000.0, 0.0, 2100.0]))
+    with pytest.raises(ValidationError, match=r"is not finite at q=2100$"):
+        oracle((0.3, 0.7), 2100.0)
 
 
 def test_analytic_uniform_cascade_is_monofractal():
