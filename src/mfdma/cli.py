@@ -69,9 +69,9 @@ def _print_scaling_summary(bundle, label=None):
     qs = est.qs.values
     if label:
         print(f"== {label} ==")
-    picks = np.unique(np.linspace(0, qs.size - 1, min(9, qs.size)).round().astype(int))
+    picks = np.linspace(0, qs.size - 1, min(9, qs.size)).round().astype(int)
     print(f"{'q':>6}  {'h(q)':>12}  {'tau(q)':>10}")
-    for idx in picks:
+    for idx in dict.fromkeys(picks.tolist()):  # sorted, so this drops adjacent repeats
         h_txt = format_with_error(est.h[idx], est.h_se[idx])
         print(f"{qs[idx]:>6g}  {h_txt:>12}  {est.tau[idx]:>10.3f}")
     print(f"spectrum width: {bundle.spectrum.width:.4f}")

@@ -185,21 +185,39 @@ def _blocks(x: np.ndarray, n: int) -> np.ndarray:
     return x[tuple(slice(c * n) for c in counts)].reshape([d for c in counts for d in (c, n)])
 
 
-def segment_rms(residuals: np.ndarray, n: int, *, out=None) -> SegmentFluctuations:
+def segment_rms(
+    residuals: np.ndarray, n: int, *, out=None, carry=None
+) -> SegmentFluctuations | np.ndarray:
     """RMS over disjoint blocks of side n of a residual series or matrix.
 
     Each axis is cut into ``side // n`` whole blocks and the remainder is
     dropped; a matrix's blocks are listed in row-major order.  The squares
     go to ``out``, an array shaped like ``residuals`` (which may be
-    ``residuals`` itself), or else to a fresh array.
+    ``residuals`` itself), or else to a fresh array.  Each row's squares
+    are summed per block, and a matrix block's row sums are then added in
+    row order, the order of ``np.mean`` over both block axes.
+
+    ``carry``, a list that starts empty, lets a matrix's rows arrive in
+    pieces of any height: each call returns the F_v array of the block rows
+    it completes, possibly empty, and leaves the row sums of the unfinished
+    block row in ``carry``.  The pieces' F_v, concatenated, are bitwise
+    those of one call on all the rows.
     """
     eps = np.asarray(residuals, dtype=float)
     n = int(n)
-    if n < 1 or n > min(eps.shape, default=0):
+    if n < 1 or n > min(eps.shape if carry is None else eps.shape[1:], default=0):
         raise ValidationError(f"block side {n} invalid for residual shape {eps.shape}")
-    squares = _blocks(np.square(eps, out=out), n)
-    rms = np.sqrt(np.mean(squares, axis=tuple(range(1, squares.ndim, 2))))
-    return SegmentFluctuations(rms.ravel(), scale=n)
+    blocks = eps.shape[-1] // n
+    squares = np.square(eps, out=out)[..., :blocks * n]
+    sums = squares.reshape(*eps.shape[:-1], blocks, n).sum(axis=-1)
+    if eps.ndim == 2:
+        pending = np.concatenate([*(carry or []), sums])
+        done = len(pending) // n * n
+        if carry is not None:
+            carry[:] = [pending[done:]]
+        sums = np.add.reduce(pending[:done].reshape(-1, n, blocks), axis=1)
+    rms = np.sqrt(sums / float(n ** eps.ndim)).ravel()
+    return rms if carry is not None else SegmentFluctuations(rms, scale=n)
 
 
 def _power_mean(values: np.ndarray, qs, scale, *, out=None) -> np.ndarray:

@@ -218,12 +218,13 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     """The table of :func:`mfdma_fluctuations_2d` at each of ``thetas``, from one pass.
 
     Per scale, the window aggregates, the same for every theta, are formed
-    once, a strip of RECOMPUTE_EVERY rows at a time, into a window of rows.
-    After each strip, each theta takes the whole block rows now complete
-    there through its residuals and block RMS, in row-major block order.
-    Rows that no theta needs again leave the window's front only when the
-    next strip would not fit, so at scale n it needs at most n + d1 +
-    RECOMPUTE_EVERY rows, d1 being the largest row shift of any theta.
+    once, a strip of RECOMPUTE_EVERY rows at a time.  After each strip, each
+    theta sends the residual rows j whose shifted mean row j + d1 the strip
+    holds through its residuals and block RMS, whose carry keeps the row
+    sums of an unfinished block row for the next strip.  Only the window
+    sums of the strip's last d1 rows are read again, so at scale n the pass
+    holds at most RECOMPUTE_EVERY + d1 rows of window sums, d1 being the
+    largest row shift of any theta, and one strip of window means.
     """
     # a Surface is checked once here, not again by every window_aggregates call
     surface = surface if isinstance(surface, Surface) else Surface(surface)
@@ -234,43 +235,44 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     def cells(n, rows):  # the values of ``rows`` window rows at scale n, at most all of them
         return min(N1 - n + 1, rows) * (N2 - n + 1)
 
+    def reach(n):  # the largest row shift of any theta at scale n
+        return max(DetrendConfig2D(n, n, theta).shifts[0] for theta in thetas)
+
     # one workspace for the pass, also big enough for the power means of the smallest scale
-    window = max(cells(n, n + max(DetrendConfig2D(n, n, t).shifts[0] for t in thetas)
-                       + RECOMPUTE_EVERY) for n in ns)
+    window = max(cells(n, reach(n) + RECOMPUTE_EVERY) + cells(n, RECOMPUTE_EVERY) for n in ns)
     window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
     strip = min(N1 - ns[0] + 1, RECOMPUTE_EVERY) * N2
-    workspace = tuple(np.empty(size) for size in (window, window, strip, strip))
+    workspace = tuple(np.empty(size) for size in (window, strip, strip))
     # a lone theta's residuals overwrite the window sums; several thetas' each go here
-    spare = np.empty(max(cells(n, n + RECOMPUTE_EVERY) for n in ns)) if len(thetas) > 1 else None
+    spare = np.empty(max(cells(n, RECOMPUTE_EVERY) for n in ns)) if len(thetas) > 1 else None
 
     def rms_at(n):
-        rows, cols = N1 - n + 1, N2 - n + 1
-        total, cummean = (buffer[:window // cols * cols].reshape(-1, cols) for buffer in workspace[:2])
+        rows, cols, keep = N1 - n + 1, N2 - n + 1, reach(n)
+        lines = workspace[0][:window // cols * cols].reshape(-1, cols)
+        means_at = min(rows, keep + RECOMPUTE_EVERY)  # the line of a strip's first window mean
         cfgs = [DetrendConfig2D(n, n, theta) for theta in thetas]
-        reach = max(cfg.shifts[0] for cfg in cfgs)
-        low, parts = 0, [[] for _ in cfgs]  # low: the front's row
-        def whole(row, d1):  # residual rows in whole block rows, from the rows below ``row``
-            return max(0, (row - d1) // n * n)
+        low, parts, carries = 0, [[] for _ in cfgs], [[] for _ in cfgs]  # low: line 0's row
         for start in range(0, rows, RECOMPUTE_EVERY):
             stop = min(start + RECOMPUTE_EVERY, rows)
-            if stop - low > len(total):
-                keep = whole(start, reach)  # no theta reads a row below this again
-                for buffer in workspace[:2]:  # 1-d, so the overlapping move needs no copy
-                    buffer[:(start - keep) * cols] = buffer[(keep - low) * cols:(start - low) * cols]
-                low = keep
-            at = (start - low) * cols
+            if start - keep > low:  # the last ``keep`` rows of window sums move to the front
+                flat = workspace[0]  # 1-d, so the overlapping move needs no copy
+                flat[:keep * cols] = flat[(start - keep - low) * cols:(start - low) * cols]
+                low = start - keep
             window_aggregates(surface, DetrendConfig2D(n, n), rows=(start, stop),
-                              out=(workspace[0][at:], workspace[1][at:]) + workspace[2:])
-            for cfg, rms in zip(cfgs, parts):
+                              out=(lines[start - low:].reshape(-1), lines[means_at:].reshape(-1),
+                                   *workspace[1:]))
+            for cfg, rms, carry in zip(cfgs, parts, carries):
                 d1, d2 = cfg.shifts
-                begin, end = whole(start, d1) - low, whole(stop, d1) - low  # new residual rows
-                if end > begin:
-                    taken = slice(begin, end + d1)
-                    aggregates = WindowAggregates2D(total[taken], cummean[taken], n, n)
-                    # laid out as the window sums are, so the block RMS reads the same strides
-                    out = total[begin:] if spare is None else _take(spare, (end - begin, cols))
-                    resid = residual_matrix_2d(aggregates, cfg, out=out[:end - begin, :cols - d2])
-                    rms.append(segment_rms_2d(resid, n, out=resid).values)
+                first, last = max(start - d1, 0), stop - d1  # the new residual rows
+                if last > first:
+                    aggregates = WindowAggregates2D(
+                        lines[first - low:stop - low],
+                        # its first d1 lines lie on window sums, which the residuals skip
+                        lines[means_at + first - start:means_at + stop - start], n, n)
+                    out = (lines[first - low:] if spare is None
+                           else _take(spare, (last - first, cols)))
+                    resid = residual_matrix_2d(aggregates, cfg, out=out[:last - first, :cols - d2])
+                    rms.append(segment_rms_2d(resid, n, out=resid, carry=carry))
         return [np.concatenate(rms) for rms in parts]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace[0])

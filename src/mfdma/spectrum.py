@@ -154,10 +154,12 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
         raise ValidationError(f"need n_min < n_max, got ({n_min}, {n_max})")
     if count < 2:
         raise ValidationError(f"count must be at least 2, got {count}")
+    if not count < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array
+        raise ValidationError(f"scale count {count} is more than numpy can index")
     raw = np.logspace(np.log10(n_min), np.log10(n_max), count)
     # round half away from zero, so grids match across platforms
-    ns = np.unique(np.floor(raw + 0.5).astype(int))
-    return ScaleGrid(ns)
+    ns = np.floor(raw + 0.5).astype(int)
+    return ScaleGrid(ns[np.diff(ns, prepend=0) > 0])  # sorted, so repeats are adjacent
 
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:

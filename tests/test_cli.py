@@ -161,6 +161,36 @@ def test_surrogate_subcommand(measure_file, tmp_path, capsys):
     assert "width raw" in capsys.readouterr().out
 
 
+# the child notes whether numpy itself imported numpy.ma (numpy 1.x does), then runs the CLI
+MA_CHILD = """
+import sys
+import numpy
+before = "numpy.ma" in sys.modules
+from mfdma.cli import main
+code = main(sys.argv[1:])
+print(code, before, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command", ["analyze", "compare", "surrogate"])
+def test_a_cli_run_does_not_import_numpy_ma(command, measure_file, tmp_path):
+    # np.unique imports numpy.ma, about 10 ms and 1.3 MB on every run
+    argv = {"analyze": ["analyze"], "compare": ["compare", "--analytic-p1", "0.3"],
+            "surrogate": ["surrogate", "--seed", "7"]}[command]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(mfdma.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", MA_CHILD, *argv, "--input", str(measure_file),
+         "--out-dir", str(tmp_path / "out")] + GRID,
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    code, before, after = done.stdout.split()[-3:]
+    assert code == "0", done.stderr
+    if before == "True":
+        pytest.skip("this numpy imports numpy.ma itself")
+    assert after == "False"
+
+
 def _tree(root):
     """Each file under ``root`` by its relative path, with its bytes."""
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
@@ -518,6 +548,13 @@ def test_a_non_finite_q_grid_is_a_validation_error(argv, message, measure_file, 
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert err.count("\n") == 1
+
+
+def test_a_scale_count_numpy_cannot_index_is_a_validation_error(measure_file, capsys):
+    # np.logspace raised "Maximum allowed size exceeded" here, a traceback and exit 1
+    assert main(["analyze", "--input", str(measure_file), "--n-count", "10000000000000000000"]) == 2
+    assert capsys.readouterr().err == (
+        "error: scale count 10000000000000000000 is more than numpy can index\n")
 
 
 @pytest.mark.parametrize("command", ["surrogate", "generate"])

@@ -413,10 +413,11 @@ def test_the_banded_pass_forms_each_window_row_once(rng, monkeypatch):
         assert all(rows == RECOMPUTE_EVERY for rows in strips[:-1])
 
 
-@pytest.mark.parametrize("thetas, bound", [([0.0], 1.25), (THETAS, 2.6)], ids=["one", "three"])
+@pytest.mark.parametrize("thetas, bound", [([0.0], 0.6), (THETAS, 0.95)], ids=["one", "three"])
 def test_the_banded_pass_holds_no_surface_sized_scratch(cascade_k10, thetas, bound):
     # with window sums and means over the whole surface the pass read 2.25x
-    # with one theta, and 3.27x with three, whose spare residuals spanned it too
+    # with one theta, and 3.27x with three, whose spare residuals spanned it too;
+    # with n + d1 + RECOMPUTE_EVERY rows of both it read 0.85x and 1.56x
     scales, qs, *_ = _resolve_grids(AnalysisConfig(mode="surface"), cascade_k10.shape)
     tracemalloc.start()
     try:
@@ -425,6 +426,24 @@ def test_the_banded_pass_holds_no_surface_sized_scratch(cascade_k10, thetas, bou
     finally:
         tracemalloc.stop()
     assert peak <= bound * cascade_k10.values.nbytes
+
+
+def _pass_peak(values, scales, thetas):
+    """The tracemalloc peak of one pass over ``values``, in bytes."""
+    tracemalloc.start()
+    try:
+        dma2d._mfdma_tables_2d(values, scales, [-2.0, 0.0, 2.0], thetas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_pass_memory_does_not_grow_with_the_largest_scale(rng):
+    # at theta = 0 the pass holds a strip of window sums and one of means at
+    # every scale; with block rows of window sums it grew by 0.15x up to the cap
+    values = rng.standard_normal(BANDED_SHAPE)
+    small = _pass_peak(values, [2, 3, 4], [0.0])
+    assert _pass_peak(values, BANDED_SCALES, [0.0]) <= small + 0.01 * values.nbytes
 
 
 def test_mfdma2d_scale_cap_is_enforced():

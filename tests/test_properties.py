@@ -14,6 +14,7 @@ from mfdma import (
     mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
     mfdma_fluctuations_2d,
+    segment_rms_2d,
     window_aggregates,
 )
 
@@ -134,3 +135,21 @@ def test_2d_fluctuations_do_not_change_under_transposition(name, data):
     estimator = SURFACE_ESTIMATORS[name]
     x = _normal_surface(data, 16, 40)
     np.testing.assert_allclose(estimator(x.T).values, estimator(x).values, rtol=1e-11, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_block_rms_of_rows_in_pieces_is_bitwise_one_call(data):
+    """Rows fed in pieces, the carry threaded through, give the bytes of one whole call."""
+    n = data.draw(st.integers(1, 9))
+    shape = data.draw(st.tuples(st.integers(n, 5 * n + 3), st.integers(n, 5 * n + 3)))
+    # a column offset leaves the rows strided, as in a residual written into a wider window
+    offset = data.draw(st.integers(0, 2))
+    base = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (shape[0], shape[1] + offset))
+    eps = base[:, offset:]
+    cuts = sorted(data.draw(st.lists(st.integers(0, shape[0]), max_size=6)))
+    carry = []
+    pieces = [segment_rms_2d(eps[a:b], n, carry=carry)
+              for a, b in zip([0, *cuts], [*cuts, shape[0]])]
+    assert np.concatenate(pieces).tobytes() == segment_rms_2d(eps, n).values.tobytes()

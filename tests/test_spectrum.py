@@ -44,6 +44,13 @@ def test_build_scale_grid_rejections():
         build_scale_grid(10, 100, 1)
 
 
+@pytest.mark.parametrize("count", [10**19, float("inf"), float("nan")], ids=str)
+def test_build_scale_grid_rejects_counts_numpy_cannot_index(count):
+    # np.logspace raised "Maximum allowed size exceeded" on 10**19
+    with pytest.raises(ValidationError, match="more than numpy can index"):
+        build_scale_grid(10, 100, count)
+
+
 def test_build_q_grid_hits_zero_exactly():
     qs = build_q_grid(-4.0, 4.0, 0.1)
     assert qs.values.size == 81
