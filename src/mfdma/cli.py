@@ -197,6 +197,9 @@ COMPARE_METHODS = (
 
 
 def cmd_compare(args) -> int:
+    for name in ("method", "theta"):
+        if getattr(args, name) is not None:
+            raise ValidationError(f"compare runs every method and theta, so --{name} is not taken")
     if (args.analytic_p1 is None) == (args.analytic_weights is None):
         raise ValidationError(
             "compare needs exactly one analytic reference: --analytic-p1 or --analytic-weights"

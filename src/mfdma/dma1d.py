@@ -167,8 +167,7 @@ def residual_series(
     ``means`` are the averages :func:`moving_average` gives at cfg.n, the
     same for every theta.  Without them, they are formed here with ``out``
     passed on, and the residuals overwrite them.  With them, the residuals
-    go to ``out``, a flat float buffer (``means`` itself, say), or else to
-    a fresh array.
+    go to ``out``, a flat float buffer, or else to a fresh array.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
@@ -323,18 +322,16 @@ def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
     values = _as_values(series, 1)
     grid = _validate_scales(scales, values.shape)
     y = _compensated_cumsum(values)
-    # one workspace for the pass: the largest scale has the most block sums
+    # one workspace for the pass: the largest scale has the most block sums, at least N + 1;
+    # once the averages exist, every theta's residuals and squares go to the block sums' buffer
     sums = max((y.size // n + 1) * (n + 1) for n in grid.values.tolist())
     workspace = (np.empty(sums), np.empty(y.size))
-    # a lone theta's residuals overwrite the averages; several thetas' each go here
-    spare = np.empty(y.size) if len(thetas) > 1 else None
 
     def rms_at(n):
         means = moving_average(y, DetrendConfig(n), out=workspace)
-        out = means if spare is None else spare
         rms = []
         for theta in thetas:
-            resid = residual_series(y, DetrendConfig(n, theta), out=out, means=means)
+            resid = residual_series(y, DetrendConfig(n, theta), out=workspace[0], means=means)
             rms.append(segment_rms(resid, n, out=resid).values)
         return rms
 

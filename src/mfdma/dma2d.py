@@ -182,7 +182,7 @@ def residual_matrix_2d(
     With shift d_a = min(floor(n_a * theta), n_a - 1) per axis, the
     residual at (j1, j2) is total(j1, j2) - cummean(j1 + d1, j2 + d2); the
     output shrinks by exactly d_a along axis a.  It is written to ``out``,
-    if given, which may be the leading corner of ``aggregates.total``.
+    if given.
     """
     if (aggregates.n1, aggregates.n2) != (cfg.n1, cfg.n2):
         raise ValidationError(
@@ -242,9 +242,8 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     window = max(cells(n, reach(n) + RECOMPUTE_EVERY) + cells(n, RECOMPUTE_EVERY) for n in ns)
     window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
     strip = min(N1 - ns[0] + 1, RECOMPUTE_EVERY) * N2
+    # once a strip is formed, the first strip buffer takes every theta's new residual rows
     workspace = tuple(np.empty(size) for size in (window, strip, strip))
-    # a lone theta's residuals overwrite the window sums; several thetas' each go here
-    spare = np.empty(max(cells(n, RECOMPUTE_EVERY) for n in ns)) if len(thetas) > 1 else None
 
     def rms_at(n):
         rows, cols, keep = N1 - n + 1, N2 - n + 1, reach(n)
@@ -269,9 +268,8 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
                         lines[first - low:stop - low],
                         # its first d1 lines lie on window sums, which the residuals skip
                         lines[means_at + first - start:means_at + stop - start], n, n)
-                    out = (lines[first - low:] if spare is None
-                           else _take(spare, (last - first, cols)))
-                    resid = residual_matrix_2d(aggregates, cfg, out=out[:last - first, :cols - d2])
+                    out = _take(workspace[1], (last - first, cols))[:, :cols - d2]
+                    resid = residual_matrix_2d(aggregates, cfg, out=out)
                     rms.append(segment_rms_2d(resid, n, out=resid, carry=carry))
         return [np.concatenate(rms) for rms in parts]
 

@@ -74,6 +74,14 @@ class Surface(_Values):
         return self.values.shape
 
 
+def _check_levels(levels: int, cap: int) -> None:
+    """Raise unless a cascade's ``levels`` is a positive integer no deeper than ``cap``."""
+    if levels <= 0:
+        raise ValidationError(f"levels must be a positive integer, got {levels}")
+    if levels > cap:
+        raise ValidationError(f"levels={levels} exceeds the memory guard of {cap}")
+
+
 @dataclass(frozen=True)
 class CascadeSpec1D:
     """Parameters of the deterministic binomial cascade.
@@ -88,12 +96,7 @@ class CascadeSpec1D:
 
     def __post_init__(self):
         _binomial_weights(self.p1)  # raises unless 0 < p1 < 1
-        if self.levels <= 0:
-            raise ValidationError(f"levels must be a positive integer, got {self.levels}")
-        if self.levels > MAX_LEVELS_1D:
-            raise ValidationError(
-                f"levels={self.levels} exceeds the memory guard of {MAX_LEVELS_1D}"
-            )
+        _check_levels(self.levels, MAX_LEVELS_1D)
 
 
 @dataclass(frozen=True)
@@ -117,12 +120,7 @@ class CascadeSpec2D:
             raise ValidationError(f"weights must be nonnegative, got {w}")
         if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValidationError(f"weights must sum to 1 within 1e-12, got sum {sum(w)!r}")
-        if self.levels <= 0:
-            raise ValidationError(f"levels must be a positive integer, got {self.levels}")
-        if self.levels > MAX_LEVELS_2D:
-            raise ValidationError(
-                f"levels={self.levels} exceeds the memory guard of {MAX_LEVELS_2D}"
-            )
+        _check_levels(self.levels, MAX_LEVELS_2D)
         object.__setattr__(self, "weights", w)
 
 

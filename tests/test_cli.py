@@ -307,8 +307,14 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
         # 0.1^-400 overflows, so tau(q) is not finite on this grid
         ("surface", ["--analytic-weights", "0.1,0.2,0.3,0.4", "--q-min", "-400", "--q-max", "400",
                      "--q-step", "1"], "closed-form tau(q) is not finite at q=-400"),
+        # compare runs every method and theta, so it takes neither flag
+        ("series", ["--analytic-p1", "0.3", "--theta", "0.7"],
+         "compare runs every method and theta, so --theta is not taken"),
+        ("series", ["--analytic-p1", "0.3", "--method", "mfdfa"],
+         "compare runs every method and theta, so --method is not taken"),
     ],
-    ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface", "tau-overflow-on-surface"],
+    ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface", "tau-overflow-on-surface",
+         "theta-flag", "method-flag"],
 )
 def test_compare_rejects_a_bad_reference_before_reading(
     mode, reference, message, measure_file, tmp_path, monkeypatch, capsys

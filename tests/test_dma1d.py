@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mfdma import (
     CascadeSpec1D,
@@ -28,6 +30,7 @@ from mfdma import (
 )
 from mfdma import dma1d
 from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
+from mfdma.pipeline import AnalysisConfig, _resolve_grids
 from mfdma.spectrum import as_scale_grid
 from reference import exact_window_mean, scalar_power_mean, window_mean
 
@@ -380,22 +383,51 @@ def test_mfdma_scale_cap_is_enforced():
         mfdma_fluctuations_1d(np.ones(100) + np.arange(100), [2, 26], [2.0])
 
 
-def test_reversed_backward_matches_forward(rng):
-    # theta=0 on the reversed series mirrors theta=1 on the original:
-    # the residual arrays agree up to reversal, sign, and one boundary
-    # sample contributed by the empty-prefix cumulative sum.
-    x = rng.standard_normal(40)
-    n = 5
-    fwd = residual_series(profile(x), DetrendConfig(n, 1.0))
-    rev = residual_series(profile(x[::-1]), DetrendConfig(n, 0.0))
-    m = fwd.size
-    assert np.allclose(rev[: m - 1], -fwd[: m - 1][::-1], rtol=0, atol=1e-9)
-    # once the shared part tiles into whole segments the F_v multisets match
-    overlap = m - 1
-    assert overlap % n == 0
-    f_fwd = np.sort(segment_rms(fwd[:overlap], n).values)
-    f_rev = np.sort(segment_rms(rev[:overlap], n).values)
-    assert np.allclose(f_fwd, f_rev, rtol=1e-9)
+def _reversal_case(data, half):
+    """A drawn window n, future-point count k and unit-normal series of at least 2n values.
+
+    With ``half``, (n - 1) * theta is k + 1/2 rather than k.
+    """
+    n = data.draw(st.integers(2, 11), label="n")
+    k = data.draw(st.integers(0, n - 1 - half), label="k")
+    size = data.draw(st.integers(2 * n, 6 * n), label="N")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    return n, k, np.random.default_rng(seed).standard_normal(size)
+
+
+def _reversed_residuals(x, n, theta, theta_reversed):
+    """The residuals at theta on x and at theta_reversed on x[::-1], less their last samples."""
+    fwd = residual_series(profile(x), DetrendConfig(n, theta))
+    rev = residual_series(profile(x[::-1]), DetrendConfig(n, theta_reversed))
+    return fwd[:-1], rev[:-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_reversed_backward_matches_forward(data):
+    # the reversed profile is the total minus the profile reflected and shifted by one point,
+    # so for theta = k/(n-1) the window with k future points becomes one with k past points:
+    # at theta' = (n-1-k)/(n-1) the residual on x[::-1] is minus the reversed residual on x,
+    # except for the last sample of each, whose counterpart lies outside the other's domain.
+    # theta' is built from integers: at n = 6, 1 - 0.8 gives floor(5 theta') = 0, not 1
+    n, k, x = _reversal_case(data, half=False)
+    fwd, rev = _reversed_residuals(x, n, k / (n - 1), (n - 1 - k) / (n - 1))
+    assert np.allclose(rev, -fwd[::-1], rtol=0, atol=1e-12 * np.abs(profile(x)).max())
+    # so block for block from the other end, the F_v agree
+    tiled = fwd.size // n * n
+    f_fwd = segment_rms(fwd[fwd.size - tiled:], n).values
+    assert np.allclose(segment_rms(rev[:tiled], n).values, f_fwd[::-1], rtol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reversal_fails_when_the_future_points_are_a_half_integer(data):
+    # at (n-1) theta = k + 1/2 the window holds k future points and k + 1 past ones, and
+    # at 1 - theta it holds n - 2 - k future points: reversal needs n - 1 - k, one more
+    n, k, x = _reversal_case(data, half=True)
+    theta = (k + 0.5) / (n - 1)
+    fwd, rev = _reversed_residuals(x, n, theta, 1 - theta)
+    assert not np.allclose(rev, -fwd[::-1], rtol=0, atol=1e-6)
 
 
 # ------------------------------------------------------------ workspace
@@ -544,6 +576,31 @@ def test_pass_peak_memory_on_the_default_q_grid(estimator):
     finally:
         tracemalloc.stop()
     assert peak <= 4.0 * values.nbytes
+
+
+def _pass_peak(values, scales, thetas):
+    """The tracemalloc peak of a 1-d MFDMA pass over ``thetas`` on the 81-q grid, in bytes."""
+    tracemalloc.start()
+    try:
+        dma1d._mfdma_tables_1d(values, scales, DEFAULT_QS, thetas)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("data", ["binomial", "noise"])
+def test_a_pass_over_three_thetas_holds_no_spare_residual_buffer(data):
+    # every theta writes its residuals to the block sums' buffer: 0.18x above one theta,
+    # against 1.18x with a spare buffer the size of the series for several thetas
+    if data == "binomial":
+        values = binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=16)).values
+        scales = _resolve_grids(AnalysisConfig(), values.shape)[0]
+    else:
+        values = gaussian_noise(2**16, seed=5).values
+        scales = build_scale_grid(10, 2**14, 20)
+    _pass_peak(values, scales, THETAS)  # keeps first-call allocations out of the count
+    extra = _pass_peak(values, scales, THETAS) - _pass_peak(values, scales, [0.0])
+    assert extra < 0.3 * values.nbytes
 
 
 # ------------------------------------------------------------ mfdfa 1d

@@ -413,11 +413,13 @@ def test_the_banded_pass_forms_each_window_row_once(rng, monkeypatch):
         assert all(rows == RECOMPUTE_EVERY for rows in strips[:-1])
 
 
-@pytest.mark.parametrize("thetas, bound", [([0.0], 0.6), (THETAS, 0.95)], ids=["one", "three"])
+@pytest.mark.parametrize("thetas, bound", [([0.0], 0.6), (THETAS, 0.8)], ids=["one", "three"])
 def test_the_banded_pass_holds_no_surface_sized_scratch(cascade_k10, thetas, bound):
     # with window sums and means over the whole surface the pass read 2.25x
     # with one theta, and 3.27x with three, whose spare residuals spanned it too;
-    # with n + d1 + RECOMPUTE_EVERY rows of both it read 0.85x and 1.56x
+    # with n + d1 + RECOMPUTE_EVERY rows of both it read 0.85x and 1.56x, and with
+    # RECOMPUTE_EVERY + d1 rows 0.56x and 0.89x, then 0.76x once every theta's
+    # residuals went to a strip rather than a spare buffer
     scales, qs, *_ = _resolve_grids(AnalysisConfig(mode="surface"), cascade_k10.shape)
     tracemalloc.start()
     try:

@@ -88,9 +88,16 @@ def test_cascade2d_rejects_a_nan_weight():
         CascadeSpec2D(weights=(float("inf"), 0.2, 0.3, 0.4), levels=2)
 
 
-def test_cascade2d_rejects_deep_levels():
-    with pytest.raises(ValidationError):
-        CascadeSpec2D(weights=(0.25,) * 4, levels=13)
+@pytest.mark.parametrize(
+    "levels, message",
+    [(0, "levels must be a positive integer, got 0"),
+     (-2, "levels must be a positive integer, got -2"),
+     (13, "levels=13 exceeds the memory guard of 12")],
+    ids=["0", "-2", "13"],
+)
+def test_cascade2d_rejects_bad_levels(levels, message):
+    with pytest.raises(ValidationError, match=message):
+        CascadeSpec2D(weights=(0.25,) * 4, levels=levels)
 
 
 def test_gaussian_noise_is_reproducible():
