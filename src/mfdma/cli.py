@@ -197,8 +197,9 @@ COMPARE_METHODS = (
 
 
 def cmd_compare(args) -> int:
+    loaded = {} if args.config is None else AnalysisConfig.read_config_file(args.config)
     for name in ("method", "theta"):
-        if getattr(args, name) is not None:
+        if getattr(args, name) is not None or name in loaded:
             raise ValidationError(f"compare runs every method and theta, so --{name} is not taken")
     if (args.analytic_p1 is None) == (args.analytic_weights is None):
         raise ValidationError(

@@ -241,14 +241,15 @@ def _power_mean(values: np.ndarray, qs, scale, *, out=None) -> np.ndarray:
     with np.errstate(divide="ignore"):  # zeros allowed for q > 0
         log_values = np.log(values)
     means = np.empty(qs.size)
+    extremes = log_values.max(), log_values.min()  # monotone rounding: q times one is a row's max
     rows = qs.size if out is None else max(1, out.size // values.size)
     for start in range(0, qs.size, rows):
         q = qs[start:start + rows]
         logs = np.multiply(q[:, None], log_values, out=_take(out, (q.size, values.size)))
-        peak = logs.max(axis=1, keepdims=True)
-        logs -= peak
+        peak = q * np.where(q > 0, *extremes)
+        logs -= peak[:, None]
         block = np.log(np.exp(logs, out=logs).mean(axis=1))
-        block += peak[:, 0]
+        block += peak
         np.divide(block, q, out=block, where=q != 0)
         np.exp(block, out=means[start:start + rows])
     means[qs == 0] = np.exp(np.mean(log_values))
@@ -346,8 +347,7 @@ def _line_residuals(segments: np.ndarray, *, out=None) -> np.ndarray:
     ``out``, a flat float buffer of at least 2 * count * n values, if given.
     """
     count, n = segments.shape
-    u = np.arange(n, dtype=float)
-    uc = u - u.mean()
+    uc = np.arange(n, dtype=float) - (n - 1) / 2
     slope = segments @ uc / float(np.dot(uc, uc))
     resid, slope_terms = _take(out, (2, count, n))
     np.subtract(segments, segments.mean(axis=1)[:, None], out=resid)

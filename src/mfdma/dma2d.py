@@ -89,18 +89,22 @@ def _row_sums(x: np.ndarray, n: int, S: np.ndarray, T: np.ndarray) -> None:
 
     S[j] = sum_{a<n} x[j+a] and T[j] = sum_{a<n} (n - a) * x[j+a], each from its exact
     first row.  The steps, x[j+n-1] - x[j-1] and S[j] - n*x[j-1], are formed as
-    whole-array ops in place, then carried down the rows by one in-place add per row.
+    whole-array ops in place, then carried down the rows by :func:`_carry`.
     """
     count = len(S)
     S[0] = x[:n].sum(axis=0)
     np.subtract(x[n:n + count - 1], x[:count - 1], out=S[1:])
-    for j in range(1, count):
-        np.add(S[j - 1], S[j], out=S[j])
+    _carry(S)
     np.multiply(x[:count - 1], -float(n), out=T[1:])
     T[1:] += S[1:]
     T[0] = np.arange(n, 0, -1, dtype=float) @ x[:n]
-    for j in range(1, count):
-        np.add(T[j - 1], T[j], out=T[j])
+    _carry(T)
+
+
+def _carry(steps: np.ndarray) -> None:
+    """Steps to running sums down the first axis in place, by one add per row view."""
+    for prev, row in zip(steps, steps[1:]):
+        np.add(prev, row, out=row)
 
 
 def _column_sums(x: np.ndarray, n: int, ramp: bool, out: np.ndarray) -> None:
@@ -276,29 +280,21 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     return _fluctuation_tables(grid, qs, rms_at, workspace[0])
 
 
-def _plane_residuals(blocks: np.ndarray, *, out=None) -> np.ndarray:
-    """Residuals of least-squares planes a + b*u + c*v fitted per block.
+def _plane_residuals(blocks: np.ndarray) -> np.ndarray:
+    """Residuals of least-squares planes a + b*u + c*v fitted per block, in place.
 
-    blocks has shape (..., n, n).  The centered row/column coordinates are
-    orthogonal on the square grid, so the normal equations decouple and
-    exact planes are removed to exact zeros.  The fitted planes, which the
-    residuals then overwrite, go to ``out``, a flat float buffer of at
-    least blocks.size values, or else to a fresh array; either way they
-    are C-contiguous, which fixes the summation order of the block RMS.
+    blocks has axes (rows, n, columns, n), as ``dma1d._blocks`` cuts them, with
+    u along axis 1 and v along axis 3.  The centered coordinates are orthogonal,
+    so the normal equations decouple and exact planes go to exact zeros.
     """
     n = blocks.shape[-1]
-    u = np.arange(n, dtype=float)
-    uc = u - u.mean()
+    uc = np.arange(n, dtype=float) - (n - 1) / 2
     denom = float(np.dot(uc, uc)) * n
-    mean = blocks.mean(axis=(-2, -1))
-    slope_u = np.einsum("...uv,u->...", blocks, uc) / denom
-    slope_v = np.einsum("...uv,v->...", blocks, uc) / denom
-    trend = np.add(
-        mean[..., None, None] + slope_u[..., None, None] * uc[:, None],
-        slope_v[..., None, None] * uc[None, :],
-        out=_take(out, blocks.shape),
-    )
-    return np.subtract(blocks, trend, out=trend)
+    mean = blocks.mean(axis=(1, 3))[:, None, :, None]
+    slope_u = (np.einsum("aubv,u->ab", blocks, uc) / denom)[:, None, :, None]
+    slope_v = (np.einsum("aubv,v->ab", blocks, uc) / denom)[:, None, :, None]
+    np.subtract(blocks, mean + slope_u * uc[:, None, None], out=blocks)
+    return np.subtract(blocks, slope_v * uc, out=blocks)
 
 
 def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
@@ -306,19 +302,22 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
 
     The surface is partitioned into disjoint n x n blocks; each block is
     cumulated along both axes, a least-squares plane is removed, and the
-    residual RMS values aggregate as usual.
+    residual RMS values aggregate as usual.  The blocks are detrended a
+    band of RECOMPUTE_EVERY // n block rows, at least one, at a time.
     """
     values = _as_values(surface, 2)
     grid = _validate_scales(scales, values.shape)
-    # the cumulative sums and the fitted planes, then the power means
-    workspace = np.empty(2 * values.size)
+    (N1, N2), (lo, hi) = values.shape, grid.values[[0, -1]]
+    # a band's cumulative sums, then the power means of the smallest scale, lo
+    workspace = np.empty(max(min(N1, max(RECOMPUTE_EVERY, hi)) * N2, N1 // lo * (N2 // lo)))
 
     def rms_at(n):
-        cut = _blocks(values, n)
-        # the cut's own (c1, n, c2, n) layout, which fixes the einsum order of the fit
-        sums = _take(workspace, cut.shape).transpose(0, 2, 1, 3)
-        np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=sums)
-        resid = _plane_residuals(np.cumsum(sums, axis=3, out=sums), out=workspace[values.size:])
-        return [np.sqrt(np.mean(np.square(resid, out=resid), axis=(2, 3))).ravel()]
+        cut, rows, rms = _blocks(values, n), max(1, RECOMPUTE_EVERY // n), []
+        for part in np.split(cut, range(rows, len(cut), rows)):
+            sums = np.cumsum(part, axis=3, out=_take(workspace, part.shape))
+            _carry(sums.swapaxes(0, 1))  # the cumulative sums along v, then along u
+            resid = _plane_residuals(sums).reshape(len(part) * n, -1)
+            rms.append(segment_rms_2d(resid, n, out=resid).values)
+        return [np.concatenate(rms)]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

@@ -108,35 +108,35 @@ class AnalysisConfig:
     @classmethod
     def from_sources(cls, cli_options: dict, config_file: str | None = None):
         """Merge defaults, a JSON config file, and CLI options, in that order."""
-        merged = dict(DEFAULTS)
-        if config_file is not None:
-            path = Path(config_file)
-            try:
-                loaded = json.loads(path.read_text(encoding="utf-8"))
-            except OSError as exc:
-                raise InputFormatError(f"cannot read config file: {exc}", path=str(path))
-            except ValueError as exc:  # not UTF-8, or not JSON
-                raise InputFormatError(
-                    f"config file {path} is not valid JSON: {exc}", path=str(path)
-                )
-            if not isinstance(loaded, dict):
-                raise ValidationError(f"config file {path} must hold a JSON object")
-            unknown = sorted(set(loaded) - set(DEFAULTS))
-            if unknown:
-                raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-            for key, value in loaded.items():
-                allowed = FIELD_TYPES[key]
-                if float in allowed:
-                    allowed += (int,)  # a JSON integer is a valid float
-                # no field is boolean, and a JSON boolean is not an integer
-                if isinstance(value, bool) or not isinstance(value, allowed):
-                    declared = cls.__annotations__[key]
-                    raise ValidationError(f"config key {key} must be {declared}, got {value!r}")
-            merged.update(loaded)
-        merged.update({k: v for k, v in cli_options.items() if v is not None})
-        cfg = cls(**merged)
+        loaded = {} if config_file is None else cls.read_config_file(config_file)
+        flags = {k: v for k, v in cli_options.items() if v is not None}
+        cfg = cls(**{**DEFAULTS, **loaded, **flags})
         cfg.validate()
         return cfg
+
+    @classmethod
+    def read_config_file(cls, config_file: str) -> dict:
+        """The fields a JSON config file sets, each checked against its declared type."""
+        path = Path(config_file)
+        try:
+            loaded = json.loads(path.read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise InputFormatError(f"cannot read config file: {exc}", path=str(path))
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InputFormatError(f"config file {path} is not valid JSON: {exc}", path=str(path))
+        if not isinstance(loaded, dict):
+            raise ValidationError(f"config file {path} must hold a JSON object")
+        if unknown := sorted(set(loaded) - set(DEFAULTS)):
+            raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
+        for key, value in loaded.items():
+            allowed = FIELD_TYPES[key]
+            if float in allowed:
+                allowed += (int,)  # a JSON integer is a valid float
+            # no field is boolean, and a JSON boolean is not an integer
+            if isinstance(value, bool) or not isinstance(value, allowed):
+                declared = cls.__annotations__[key]
+                raise ValidationError(f"config key {key} must be {declared}, got {value!r}")
+        return loaded
 
 
 # Static defaults; n_max of None resolves against the ingested data so the

@@ -342,6 +342,41 @@ def test_compare_rejects_a_bad_reference_before_reading(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "config, name",
+    [({"theta": 0.7}, "theta"), ({"method": "mfdfa"}, "method"),
+     ({"theta": 0.7, "method": "mfdfa"}, "method"), ({"theta": 0.0}, "theta")],
+    ids=["theta", "method", "both", "default-theta"],
+)
+def test_compare_rejects_theta_and_method_from_a_config_file(
+    config, name, measure_file, tmp_path, monkeypatch, capsys
+):
+    # the error the flag gives, before the input is read, even for the default value
+    def ingest_input(cfg):
+        raise AssertionError("ingest_input was called")
+
+    monkeypatch.setattr(cli, "ingest_input", ingest_input)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    argv = ["compare", "--analytic-p1", "0.3", "--input", str(measure_file),
+            "--config", str(path), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    message = f"compare runs every method and theta, so --{name} is not taken"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_takes_a_config_file_without_theta_or_method(measure_file, tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"q_step": 0.5, "n_min": 8, "n_max": 256, "n_count": 12}))
+    argv = ["compare", "--analytic-p1", "0.3", "--input", str(measure_file), "--format", "json"]
+    assert main(argv + ["--config", str(path), "--out-dir", str(tmp_path / "config")]) == 0
+    assert main(argv + GRID + ["--out-dir", str(tmp_path / "flags")]) == 0
+    for label in ("mfdma_theta0", "mfdfa"):
+        config, flags = (tmp_path / run / label / "result.json" for run in ("config", "flags"))
+        assert config.read_bytes() == flags.read_bytes()
+
+
 @pytest.mark.parametrize("command", ["analyze", "surrogate", "compare"])
 def test_analysis_flags_are_the_config_fields(command):
     # one option per AnalysisConfig field, named by it and typed and limited as declared

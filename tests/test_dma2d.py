@@ -349,13 +349,14 @@ def test_pass_peak_memory(rng):
 
 @pytest.mark.parametrize(
     "estimator, bound",
-    [(mfdma_fluctuations_2d, 3.1), (mfdfa_fluctuations_2d, 2.8)],
+    [(mfdma_fluctuations_2d, 3.1), (mfdfa_fluctuations_2d, 0.6)],
     ids=["mfdma", "mfdfa"],
 )
 def test_pass_peak_memory_on_the_default_q_grid(rng, estimator, bound):
     # the power means of a block of q rows run in the pass's workspace; 2-d MFDFA
-    # read 6.2x when its power means held every q at once in a fresh array, and
-    # 3.22x when it formed its fitted planes and residuals in fresh arrays
+    # read 6.2x when its power means held every q at once in a fresh array,
+    # 3.22x when it formed its fitted planes and residuals in fresh arrays, and
+    # 2.3x with the cumulative sums and planes of the whole surface, not a band
     values = rng.standard_normal((512, 512))
     scales = build_scale_grid(4, 128, 10)
     qs = build_q_grid(-4.0, 4.0, 0.1)
@@ -464,37 +465,53 @@ def test_plane_residuals_remove_exact_planes():
     n = 4
     u, v = np.meshgrid(np.arange(n, dtype=float), np.arange(n, dtype=float), indexing="ij")
     plane = 3.0 + 2.0 * u - 5.0 * v
-    resid = _plane_residuals(plane[None, None])
+    resid = _plane_residuals(plane[None, :, None, :])
     assert np.array_equal(resid, np.zeros_like(resid))
 
 
 def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng):
-    # the block RMS sums the residuals in an order set by their layout, so
-    # the buffered planes must be laid out as fresh arrays would be
+    # each band of block rows is detrended in the pass's workspace; the
+    # block RMS must read what fresh arrays in the same layout would give
     values = rng.standard_normal((300, 517))
     scales = build_scale_grid(4, 75, 10)
     qs = [-3.0, 0.0, 2.0]
 
+    def band_rms(band, n):  # band: (rows, n, columns, n)
+        sums = np.cumsum(np.cumsum(band, axis=3), axis=1)
+        uc = np.arange(n, dtype=float) - (n - 1) / 2
+        denom = float(np.dot(uc, uc)) * n
+        mean = sums.mean(axis=(1, 3))
+        slope_u = np.einsum("aubv,u->ab", sums, uc) / denom
+        slope_v = np.einsum("aubv,v->ab", sums, uc) / denom
+        resid = sums - (mean[:, None, :, None] + slope_u[:, None, :, None] * uc[:, None, None])
+        resid = resid - slope_v[:, None, :, None] * uc
+        return segment_rms_2d(resid.reshape(len(band) * n, -1), n).values
+
     def rms_at(n):
         cut = values[:values.shape[0] // n * n, :values.shape[1] // n * n]
         cut = cut.reshape(cut.shape[0] // n, n, cut.shape[1] // n, n)
-        blocks = np.empty(cut.shape).transpose(0, 2, 1, 3)
-        np.cumsum(cut.transpose(0, 2, 1, 3), axis=2, out=blocks)
-        np.cumsum(blocks, axis=3, out=blocks)
-        uc = np.arange(n, dtype=float) - (n - 1) / 2
-        denom = float(np.dot(uc, uc)) * n
-        slope_u = np.einsum("...uv,u->...", blocks, uc) / denom
-        slope_v = np.einsum("...uv,v->...", blocks, uc) / denom
-        trend = (
-            blocks.mean(axis=(-2, -1))[..., None, None]
-            + slope_u[..., None, None] * uc[:, None]
-            + slope_v[..., None, None] * uc[None, :]
-        )
-        return np.sqrt(np.mean(np.square(blocks - trend), axis=(2, 3))).ravel()
+        rows = max(1, RECOMPUTE_EVERY // n)
+        return np.concatenate([band_rms(cut[a:a + rows], n) for a in range(0, len(cut), rows)])
 
     expected = dma1d._fluctuation_tables(scales, qs, lambda n: [rms_at(n)])[0]
     table = mfdfa_fluctuations_2d(values, scales, qs)
     assert table.values.tobytes() == expected.values.tobytes()
+
+
+def test_mfdfa2d_holds_one_band_of_block_rows(cascade_k10):
+    # at the surface defaults' largest scale, 256 = N/4, a band is one block
+    # row: its cumulative sums take 256 x 1024 values, 0.25x the surface, and
+    # the F_v and power means of the smallest scale add less than 0.1x; with
+    # the cumulative sums and fitted planes of the whole surface it read 2.31x
+    scales, qs, *_ = _resolve_grids(AnalysisConfig(mode="surface"), cascade_k10.shape)
+    assert scales.values[-1] == min(cascade_k10.shape) // 4
+    tracemalloc.start()
+    try:
+        mfdfa_fluctuations_2d(cascade_k10, scales, qs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.35 * cascade_k10.values.nbytes
 
 
 def test_mfdfa2d_q0_column_is_geometric_mean_of_block_rms(rng):
