@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -112,10 +111,10 @@ def _add_analysis_options(parser: argparse.ArgumentParser):
     grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
 
 
-def _config(args) -> AnalysisConfig:
-    """The command's config from its flags and --config file; it must name an input."""
-    options = {k: getattr(args, k) for k in DEFAULTS}
-    cfg = AnalysisConfig.from_sources(options, config_file=args.config)
+def _config(args, loaded: dict) -> AnalysisConfig:
+    """The command's config: its flags over its ``loaded`` --config fields; it needs an input."""
+    flags = {k: getattr(args, k) for k in DEFAULTS if getattr(args, k) is not None}
+    cfg = AnalysisConfig(**{**loaded, **flags})
     if cfg.input_path is None:
         raise ValidationError(f"{args.command} needs --input")
     return cfg
@@ -140,7 +139,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, AnalysisConfig.read_config_file(args.config))
     bundle = analyze(cfg, *ingest_input(cfg))
     _print_scaling_summary(bundle, label=Path(cfg.input_path).name)
     if cfg.out_dir is not None:
@@ -151,7 +150,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_surrogate(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, AnalysisConfig.read_config_file(args.config))
     if cfg.mode != "series":
         raise ValidationError(f"surrogate shuffles a series, got mode {cfg.mode!r}")
     raw, digest = ingest_input(cfg)
@@ -197,7 +196,7 @@ COMPARE_METHODS = (
 
 
 def cmd_compare(args) -> int:
-    loaded = {} if args.config is None else AnalysisConfig.read_config_file(args.config)
+    loaded = AnalysisConfig.read_config_file(args.config)
     for name in ("method", "theta"):
         if getattr(args, name) is not None or name in loaded:
             raise ValidationError(f"compare runs every method and theta, so --{name} is not taken")
@@ -205,7 +204,7 @@ def cmd_compare(args) -> int:
         raise ValidationError(
             "compare needs exactly one analytic reference: --analytic-p1 or --analytic-weights"
         )
-    cfg = _config(args)
+    cfg = _config(args, loaded)
     flag, mode = ("p1", "series") if args.analytic_p1 is not None else ("weights", "surface")
     if cfg.mode != mode:
         raise ValidationError(f"--analytic-{flag} implies --mode {mode}")
@@ -213,8 +212,8 @@ def cmd_compare(args) -> int:
     qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step).values
     tau_ref = analytic_tau(_cascade_weights(args.analytic_p1, args.analytic_weights), qs)
     data, digest = ingest_input(cfg)
-    cfgs = [replace(cfg, method=method, theta=theta) for _, method, theta in COMPARE_METHODS]
-    bundles = dict(zip([label for label, *_ in COMPARE_METHODS], analyze_all(cfgs, data, digest)))
+    labels, methods, thetas = zip(*COMPARE_METHODS)
+    bundles = dict(zip(labels, analyze_all(cfg, zip(methods, thetas), data, digest)))
 
     dtaus = {label: tau_error(b.estimate, tau_ref) for label, b in bundles.items()}
     sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}

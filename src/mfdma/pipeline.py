@@ -73,7 +73,8 @@ class AnalysisConfig:
     """Full configuration of one analysis run.
 
     Unset scale fields (None) take the mode's ``SCALE_DEFAULTS``; a default
-    n_max is capped at N/4 of the ingested data.
+    n_max is capped at N/4 of the ingested data.  Every instance, one from
+    ``dataclasses.replace`` too, was checked when it was built.
     """
 
     mode: str = "series"
@@ -93,7 +94,7 @@ class AnalysisConfig:
     out_dir: str | None = None
     out_format: str = "json"
 
-    def validate(self):
+    def __post_init__(self):
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 label = name.removeprefix("out_")
@@ -106,17 +107,10 @@ class AnalysisConfig:
         _check_legendre_window(qs, self.legendre_half_window)
 
     @classmethod
-    def from_sources(cls, cli_options: dict, config_file: str | None = None):
-        """Merge defaults, a JSON config file, and CLI options, in that order."""
-        loaded = {} if config_file is None else cls.read_config_file(config_file)
-        flags = {k: v for k, v in cli_options.items() if v is not None}
-        cfg = cls(**{**DEFAULTS, **loaded, **flags})
-        cfg.validate()
-        return cfg
-
-    @classmethod
-    def read_config_file(cls, config_file: str) -> dict:
-        """The fields a JSON config file sets, each checked against its declared type."""
+    def read_config_file(cls, config_file: str | None) -> dict:
+        """The fields a JSON config file sets, none for None, each of its declared type."""
+        if config_file is None:
+            return {}
         path = Path(config_file)
         try:
             loaded = json.loads(path.read_text(encoding="utf-8"))
@@ -345,28 +339,26 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
 
 
 def analyze(cfg: AnalysisConfig, data, digest: str) -> ResultBundle:
-    """Analyze ingested or in-memory data under an already validated config."""
-    return analyze_all([cfg], data, digest)[0]
+    """Analyze ingested or in-memory data under ``cfg``."""
+    return analyze_all(cfg, [(cfg.method, cfg.theta)], data, digest)[0]
 
 
-def analyze_all(cfgs, data, digest: str) -> list[ResultBundle]:
-    """The :func:`analyze` bundle of each config, which differ at most in method and theta.
+def analyze_all(cfg: AnalysisConfig, pairs, data, digest: str) -> list[ResultBundle]:
+    """The :func:`analyze` bundle of ``cfg`` under each (method, theta) pair.
 
-    The MFDMA configs share one estimator pass, which forms the window
-    averages, the same for every theta, once per scale.
+    All share ``cfg``'s grids; the MFDMA pairs share one estimator pass,
+    which forms the window averages, the same for every theta, once per scale.
     """
-    # every table is built from the first config's grids, which all must then share
-    if any(replace(cfg, method=cfgs[0].method, theta=cfgs[0].theta) != cfgs[0] for cfg in cfgs):
-        raise ValidationError("the configs of one pass may differ only in method and theta")
-    series = cfgs[0].mode == "series"
+    runs = [replace(cfg, method=method, theta=theta) for method, theta in pairs]
+    series = cfg.mode == "series"
     shape = _as_values(data, 1 if series else 2).shape
-    scales, qs, fit_range, resolved = _resolve_grids(cfgs[0], shape)
-    thetas = [cfg.theta for cfg in cfgs if cfg.method == "mfdma"]
+    scales, qs, fit_range, resolved = _resolve_grids(cfg, shape)
+    thetas = [run.theta for run in runs if run.method == "mfdma"]
     mfdma = _mfdma_tables_1d if series else _mfdma_tables_2d
     mfdma_tables = iter(mfdma(data, scales, qs, thetas) if thetas else [])
     bundles = []
-    for cfg in cfgs:
-        if cfg.method == "mfdma":
+    for run in runs:
+        if run.method == "mfdma":
             table = next(mfdma_tables)
         elif series:
             table = mfdfa_fluctuations_1d(data, scales, qs, order=1)
@@ -374,7 +366,7 @@ def analyze_all(cfgs, data, digest: str) -> list[ResultBundle]:
             table = mfdfa_fluctuations_2d(data, scales, qs)
         estimate = fit_scaling(table, fit_range, float(len(shape)))
         spectrum = legendre_spectrum(estimate, cfg.legendre_half_window)
-        effective = asdict(cfg)
+        effective = asdict(run)
         effective.update(resolved)
         effective["fit_lo"], effective["fit_hi"] = estimate.fit_range
         # where results land is presentation, not provenance; dropping it keeps
@@ -392,11 +384,10 @@ def analyze_all(cfgs, data, digest: str) -> list[ResultBundle]:
 
 
 def ingest_input(cfg: AnalysisConfig):
-    """Validate ``cfg``, then read its input file as ``cfg.mode`` data.
+    """Read ``cfg``'s input file as ``cfg.mode`` data.
 
     Returns the data and the SHA-256 of the file's bytes.
     """
-    cfg.validate()
     if cfg.input_path is None:
         raise ValidationError("config has no input path")
     ingest = ingest_series if cfg.mode == "series" else ingest_surface
@@ -470,6 +461,12 @@ def _plot_block(title, x_text, ys) -> str:
     return f"# {title}\n" + "".join(f"{x} {y}\n" for x, y in zip(x_text, _reprs(ys)))
 
 
+def _q_labels(qs) -> list[str]:
+    """Each q in the fewest significant digits, at least 6, that tell every q of the grid apart."""
+    return next(labels for digits in range(6, 18)  # 17 digits name every float64 exactly
+                if len(set(labels := [f"{q:.{digits}g}" for q in qs])) == len(labels))
+
+
 def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=None):
     """Write a bundle under ``out_dir`` in the requested format.
 
@@ -489,7 +486,7 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
         table, scaling, spectrum = doc["fluctuations"], doc["scaling"], doc["spectrum"]
         files = {
             "fluctuations.csv": csv_table(
-                ["n"] + [f"F[q={q:g}]" for q in table["qs"]],
+                ["n"] + [f"F[q={q}]" for q in _q_labels(table["qs"])],
                 [table["scales"], *zip(*table["values"])],
             ),
             "scaling.csv": csv_table(
@@ -506,8 +503,8 @@ def emit_results(bundle: ResultBundle, out_dir, out_format: str, tau_reference=N
         ln_n, qs = _reprs(np.log(bundle.table.scales.values.astype(float))), _reprs(est.qs.values)
         files = {
             "fq_vs_n.dat": "".join(
-                _plot_block(f"q = {q:g}", ln_n, np.log(bundle.table.values[:, j])) + "\n"
-                for j, q in enumerate(bundle.table.qs.values)
+                _plot_block(f"q = {q}", ln_n, np.log(bundle.table.values[:, j])) + "\n"
+                for j, q in enumerate(_q_labels(bundle.table.qs.values))
             ),
             "tau_vs_q.dat": _plot_block("tau(q)", qs, est.tau),
         }

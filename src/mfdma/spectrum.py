@@ -145,13 +145,15 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
 
     Args:
         n_min: smallest scale, at least 2.
-        n_max: largest scale, strictly greater than n_min.
+        n_max: largest scale, strictly greater than n_min and below 2**53.
         count: number of log-spaced points before rounding, at least 2.
     """
     if n_min < 2:
         raise ValidationError(f"n_min must be at least 2, got {n_min}")
     if n_max <= n_min:
         raise ValidationError(f"need n_min < n_max, got ({n_min}, {n_max})")
+    if not n_max < 2**53:  # float64 holds every integer below it, so the scales round exactly
+        raise ValidationError(f"n_max must be below 2**53, got {n_max}")
     if count < 2:
         raise ValidationError(f"count must be at least 2, got {count}")
     if not count < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array

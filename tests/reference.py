@@ -149,3 +149,35 @@ def mfdfa_rms_2d(values, n: int) -> np.ndarray:
             fit = plane @ np.linalg.lstsq(plane, c, rcond=None)[0]
             rms.append(math.sqrt(np.mean((c - fit) ** 2)))
     return np.array(rms)
+
+
+# The white-noise oracle.  On unit-variance white noise every residual is a fixed
+# linear combination of the inputs, so E[F_2(n)^2], the mean squared residual, is
+# the sum of that combination's squared weights, exactly, at every n and theta.
+
+def white_noise_f2_mfdma_1d(n: int, theta: float) -> float:
+    """E[F_2(n)^2] of 1-d MFDMA at window size n and position theta on white noise.
+
+    With b points behind i and f ahead, as in :func:`mfdma_rms_1d`, eps(i) =
+    (1/n) sum_j (y(i) - y(j)) over the window, so the inputs x(i - b + 1) ..
+    x(i) enter with weights 1/n .. b/n and x(i + 1) .. x(i + f) with
+    -f/n .. -1/n.  Closed form: [b(b+1)(2b+1) + f(f+1)(2f+1)] / (6 n^2).
+    """
+    behind, ahead = math.ceil((n - 1) * (1 - theta)), math.floor((n - 1) * theta)
+    weights = np.concatenate([np.arange(1, behind + 1), -np.arange(ahead, 0, -1)]) / n
+    return float(weights @ weights)
+
+
+def white_noise_f2_mfdfa_1d(n: int) -> float:
+    """E[F_2(n)^2] of first-order 1-d MFDFA at segment size n on white noise.
+
+    A segment's residuals are (I - P) C x: C is the cumulative sum inside the
+    segment (the profile's offset from earlier segments is a constant, which
+    the line takes up) and P projects onto lines over positions 0..n-1.  The
+    weights are the rows of (I - P) C, so the mean squared residual is its
+    squared Frobenius norm over n.  Closed form: (n^2 - 4) / (15 n).
+    """
+    line = np.column_stack([np.ones(n), np.arange(n)])
+    cumsum = np.tril(np.ones((n, n)))
+    weights = cumsum - line @ np.linalg.lstsq(line, cumsum, rcond=None)[0]
+    return float(np.sum(weights ** 2) / n)

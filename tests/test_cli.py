@@ -377,6 +377,21 @@ def test_compare_takes_a_config_file_without_theta_or_method(measure_file, tmp_p
         assert config.read_bytes() == flags.read_bytes()
 
 
+def test_compare_reads_its_config_file_once(measure_file, tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"q_step": 0.5, "n_min": 8, "n_max": 256, "n_count": 12}))
+    reads = []
+
+    def read_text(self, *args, real=Path.read_text, **kwargs):
+        reads.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", read_text)
+    argv = ["compare", "--analytic-p1", "0.3", "--input", str(measure_file), "--config", str(path)]
+    assert main(argv) == 0
+    assert reads.count(path) == 1
+
+
 @pytest.mark.parametrize("command", ["analyze", "surrogate", "compare"])
 def test_analysis_flags_are_the_config_fields(command):
     # one option per AnalysisConfig field, named by it and typed and limited as declared
@@ -596,6 +611,23 @@ def test_a_scale_count_numpy_cannot_index_is_a_validation_error(measure_file, ca
     assert main(["analyze", "--input", str(measure_file), "--n-count", "10000000000000000000"]) == 2
     assert capsys.readouterr().err == (
         "error: scale count 10000000000000000000 is more than numpy can index\n")
+
+
+@pytest.mark.parametrize("argv, value", [
+    # int64's largest value; the scales cast from float64 wrapped to negative ones
+    (["--n-max", "9223372036854775807"], 9223372036854775807),
+    # np.log10 takes no Python int this large, a traceback and exit 1
+    (["--n-max", "100000000000000000000"], 100000000000000000000),
+    (["--config", "huge.json"], 200000000000000000000),
+], ids=["n-max-int64", "n-max-1e20", "config-1e20"])
+def test_a_scale_bound_too_large_to_round_is_a_validation_error(
+    argv, value, measure_file, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "huge.json").write_text(
+        '{"n_min": 100000000000000000000, "n_max": 200000000000000000000}')
+    monkeypatch.chdir(tmp_path)
+    assert main(["analyze", "--input", str(measure_file)] + argv) == 2
+    assert capsys.readouterr().err == f"error: n_max must be below 2**53, got {value}\n"
 
 
 @pytest.mark.parametrize("command", ["surrogate", "generate"])

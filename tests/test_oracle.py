@@ -72,3 +72,39 @@ def test_mfdfa_1d_matches_literal_line_fits():
 
 def test_mfdfa_2d_matches_literal_plane_fits():
     assert_matches(mfdfa_fluctuations_2d(SURFACE, SCALES_2D, QS), "mfdfa_2d")
+
+
+# the white-noise oracle: the mean ratio of measured to exact F_2(n)^2 over the
+# seeds lies within NOISE_K standard errors of 1; small n, where the test has power
+NOISE_SEEDS = range(16)
+NOISE_LENGTH = 2**14
+NOISE_SCALES = [4, 10, 25]
+NOISE_K = 5
+
+
+def test_white_noise_weights_give_the_closed_forms():
+    for n in range(3, 41):
+        for theta in THETAS:
+            b, f = np.ceil((n - 1) * (1 - theta)), np.floor((n - 1) * theta)
+            closed = (b * (b + 1) * (2 * b + 1) + f * (f + 1) * (2 * f + 1)) / (6 * n * n)
+            assert reference.white_noise_f2_mfdma_1d(n, theta) == pytest.approx(closed, rel=1e-12)
+        exact = reference.white_noise_f2_mfdfa_1d(n)
+        assert exact == pytest.approx((n * n - 4) / (15 * n), rel=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
+def test_white_noise_f2_has_its_exact_expectation_1d(theta):
+    if theta is None:
+        estimate = functools.partial(mfdfa_fluctuations_1d, scales=NOISE_SCALES, qs=[2.0])
+        exact = [reference.white_noise_f2_mfdfa_1d(n) for n in NOISE_SCALES]
+    else:
+        estimate = functools.partial(mfdma_fluctuations_1d, scales=NOISE_SCALES, qs=[2.0],
+                                     theta=theta)
+        exact = [reference.white_noise_f2_mfdma_1d(n, theta) for n in NOISE_SCALES]
+    ratios = np.array([
+        estimate(np.random.default_rng(seed).standard_normal(NOISE_LENGTH)).values[:, 0] ** 2
+        for seed in NOISE_SEEDS
+    ]) / exact
+    mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
+    assert np.all(se < 0.02), se  # enough power to tell a one-point shift of the window
+    assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mfdma import (
     Surface,
     ValidationError,
     binomial_measure_1d,
+    build_q_grid,
     cascade_measure_2d,
     emit_results,
     ingest_series,
@@ -388,23 +390,29 @@ def test_ingest_does_not_fall_back_when_numpy_runs_out_of_memory(
 # ----------------------------------------------------------------- config
 
 def test_config_validation():
+    # a config checks itself when it is built, by replace too
     with pytest.raises(ValidationError):
-        AnalysisConfig(mode="cube").validate()
+        AnalysisConfig(mode="cube")
     with pytest.raises(ValidationError):
-        AnalysisConfig(method="wavelet").validate()
+        AnalysisConfig(method="wavelet")
     with pytest.raises(ValidationError):
-        AnalysisConfig(theta=1.5).validate()
+        AnalysisConfig(theta=1.5)
     with pytest.raises(ValidationError):
-        AnalysisConfig(out_format="yaml").validate()
-    AnalysisConfig().validate()
+        AnalysisConfig(out_format="yaml")
+    with pytest.raises(ValidationError, match="theta must lie in"):
+        replace(AnalysisConfig(), theta=2.0)
+    AnalysisConfig()
 
 
 def test_config_precedence_defaults_file_flags(tmp_path):
+    from mfdma import cli
+
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"theta": 0.5, "n_max": 200, "q_step": 0.5}))
-    cfg = AnalysisConfig.from_sources(
-        {"theta": 1.0, "input_path": "x.csv"}, config_file=str(cfg_file)
+    args = cli.build_parser().parse_args(
+        ["analyze", "--theta", "1.0", "--input", "x.csv", "--config", str(cfg_file)]
     )
+    cfg = cli._config(args, AnalysisConfig.read_config_file(args.config))
     assert cfg.theta == 1.0       # flag beats file
     assert cfg.n_max == 200       # file beats default
     assert cfg.q_step == 0.5
@@ -415,7 +423,7 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"qmin": 1}))
     with pytest.raises(ValidationError, match="qmin"):
-        AnalysisConfig.from_sources({}, config_file=str(cfg_file))
+        AnalysisConfig.read_config_file(str(cfg_file))
 
 
 # --------------------------------------------------------------- pipeline
@@ -473,20 +481,6 @@ def test_run_pipeline_golden_backward_h2(binomial_k14, tmp_path):
     qs = bundle.estimate.qs.values
     h2 = float(bundle.estimate.h[np.flatnonzero(qs == 2.0)[0]])
     assert h2 == pytest.approx(0.874, abs=0.05)
-
-
-@pytest.mark.parametrize("method", ["mfdma", "mfdfa"])
-def test_analyze_all_rejects_configs_that_differ_beyond_method_and_theta(method, rng):
-    # every table comes from the first config's grids; a second q step would be echoed
-    # in its provenance over a table of the first one's q
-    from dataclasses import replace
-
-    cfg = AnalysisConfig(method=method, n_min=8, n_max=64, n_count=8)
-    others = [replace(cfg, theta=0.5), replace(cfg, method="mfdfa"), replace(cfg, q_step=0.5)]
-    data = Series(rng.standard_normal(4096))
-    assert len(pipeline.analyze_all(others[:2], data, "digest")) == 2
-    with pytest.raises(ValidationError, match="may differ only in method and theta"):
-        pipeline.analyze_all([cfg] + others, data, "digest")
 
 
 @pytest.mark.parametrize("method", ["mfdma", "mfdfa"])
@@ -597,6 +591,26 @@ def test_emit_plot_data_blocks(measure_file, tmp_path):
     row = blocks[0].splitlines()[1].split()
     assert len(row) == 2
     float(row[0]), float(row[1])
+
+
+def test_emitted_q_labels_name_every_q_apart(measure_file, tmp_path):
+    # six significant digits would name these 31 q with 4 labels
+    bundle = run_pipeline(_quick_cfg(measure_file, q_min=1.0, q_max=1.00003, q_step=0.000001))
+    emit_results(bundle, tmp_path, "csv-set")
+    emit_results(bundle, tmp_path, "plot-data")
+    labels = [f"{1 + k / 1e6:.7g}" for k in range(31)]
+    header = (tmp_path / "fluctuations.csv").read_text().splitlines()[0].split(",")
+    assert header[1:] == [f"F[q={label}]" for label in labels]
+    titles = [line for line in (tmp_path / "fq_vs_n.dat").read_text().splitlines()
+              if line.startswith("#")]
+    assert titles == [f"# q = {label}" for label in labels]
+
+
+@pytest.mark.parametrize("grid", [(-4, 4, 0.1), (-4, 4, 1), (-4, 4, 0.001), (-10, 10, 0.001)])
+def test_q_labels_that_six_digits_tell_apart_keep_six_digits(grid):
+    # on -10..10 by 0.001, twelve digits would name q = -0.001 -0.000999999999999
+    qs = build_q_grid(*grid).values
+    assert pipeline._q_labels(qs) == [f"{q:g}" for q in qs]
 
 
 def test_emit_plot_data_with_reference(measure_file, tmp_path):
