@@ -33,6 +33,7 @@ from .pipeline import (
     DEFAULTS,
     FIELD_TYPES,
     AnalysisConfig,
+    _q_labels,
     analyze,
     analyze_all,
     csv_table,
@@ -68,11 +69,12 @@ def _print_scaling_summary(bundle, label=None):
     qs = est.qs.values
     if label:
         print(f"== {label} ==")
+    labels = _q_labels(qs)  # over the whole grid, so the printed rows are told apart too
     picks = np.linspace(0, qs.size - 1, min(9, qs.size)).round().astype(int)
     print(f"{'q':>6}  {'h(q)':>12}  {'tau(q)':>10}")
     for idx in dict.fromkeys(picks.tolist()):  # sorted, so this drops adjacent repeats
         h_txt = format_with_error(est.h[idx], est.h_se[idx])
-        print(f"{qs[idx]:>6g}  {h_txt:>12}  {est.tau[idx]:>10.3f}")
+        print(f"{labels[idx]:>6}  {h_txt:>12}  {est.tau[idx]:>10.3f}")
     print(f"spectrum width: {bundle.spectrum.width:.4f}")
 
 
@@ -219,8 +221,8 @@ def cmd_compare(args) -> int:
     sums = {label: float(np.abs(d).sum()) for label, d in dtaus.items()}
     ranking = sorted(sums, key=sums.get)
     print(f"{'q':>6}  " + "  ".join(f"{label:>15}" for label in dtaus))
-    for i, q in enumerate(qs):
-        print(f"{q:>6g}  " + "  ".join(f"{d[i]:>15.4f}" for d in dtaus.values()))
+    for i, label in enumerate(_q_labels(qs)):
+        print(f"{label:>6}  " + "  ".join(f"{d[i]:>15.4f}" for d in dtaus.values()))
     print("sum |delta tau|: " + ", ".join(f"{k} = {sums[k]:.4f}" for k in ranking))
     print("ranking (best first): " + " < ".join(ranking))
 

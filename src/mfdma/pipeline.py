@@ -283,14 +283,14 @@ def ingest_surface(path) -> Surface:
     return Surface(_read_rows(path, _one_trailing_comma) if rows is None else rows, name=path.name)
 
 
-_CSV_CHUNK = 4096  # lines per piece: the whole series text never exists at once
+_CSV_CHUNK = 4096  # values per piece: the whole file's text never exists at once
 
 
 def _series_csv(series: Series):
     """The text of ``write_series_csv``, in pieces of at most ``_CSV_CHUNK`` lines."""
     values = series.values
     for start in range(0, values.size, _CSV_CHUNK):
-        yield "\n".join(map(repr, values[start:start + _CSV_CHUNK].tolist())) + "\n"
+        yield "\n".join(_reprs(values[start:start + _CSV_CHUNK])) + "\n"
 
 
 def write_series_csv(series: Series, path):
@@ -299,10 +299,20 @@ def write_series_csv(series: Series, path):
         handle.writelines(_series_csv(series))
 
 
+def _surface_csv(surface: Surface):
+    """The text of ``write_surface_csv``, in pieces of max(1, ``_CSV_CHUNK`` // width) rows."""
+    values = surface.values
+    width = values.shape[1]
+    step = max(1, _CSV_CHUNK // width)
+    for start in range(0, len(values), step):
+        texts = _reprs(values[start:start + step])
+        yield "".join(",".join(texts[i:i + width]) + "\n" for i in range(0, len(texts), width))
+
+
 def write_surface_csv(surface: Surface, path):
     """Write a surface as comma-delimited rows with full float precision."""
     with open(path, "w") as handle:
-        handle.writelines(",".join(map(repr, row.tolist())) + "\n" for row in surface.values)
+        handle.writelines(_surface_csv(surface))
 
 
 def _sha256_file(path) -> str:
@@ -444,13 +454,26 @@ def json_text(doc) -> str:
 def csv_table(header, columns) -> str:
     """CSV text: the header line, then one row of full-precision floats per index."""
     lines = [",".join(header)]
-    lines += [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    lines += map(",".join, zip(*map(_reprs, columns)))
     return "\n".join(lines) + "\n"
 
 
 def _reprs(values) -> list:
-    """The full-precision text of each value, as a list of strings."""
-    return [repr(v) for v in np.asarray(values, dtype=float).tolist()]
+    """The full-precision text of each value, as a list of strings.
+
+    The text is ``repr`` of the float.  When at most half the values are
+    distinct, as in a cascade, each distinct one is formatted once.  Values
+    are told apart by their bits: ``-0.0 == 0.0``, but the two print apart.
+    """
+    values = np.ascontiguousarray(values, dtype=float).reshape(-1)
+    bits = values.view(np.int64)
+    keys = np.sort(bits)
+    new = keys[1:] != keys[:-1]
+    if 2 * (np.count_nonzero(new) + 1) > keys.size:  # mostly distinct: sharing saves nothing
+        return list(map(repr, values.tolist()))
+    distinct = np.concatenate((keys[:1], keys[1:][new]))
+    texts = list(map(repr, distinct.view(float).tolist()))
+    return list(map(texts.__getitem__, np.searchsorted(distinct, bits).tolist()))
 
 
 def _plot_block(title, x_text, ys) -> str:

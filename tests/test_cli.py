@@ -273,6 +273,21 @@ def test_compare_reference_must_fit_the_mode(mode, flag, value, tmp_path, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command, rows", [
+    (["analyze"], 9),  # the summary prints 9 picked rows
+    (["compare", "--analytic-p1", "0.3"], 31),  # the delta tau table prints every q
+])
+def test_printed_tables_tell_every_q_of_a_fine_grid_apart(command, rows, measure_file, capsys):
+    # six significant digits would print these 31 q with only 4 labels
+    fine = ["--q-min", "1", "--q-max", "1.00003", "--q-step", "0.000001"]
+    assert main([*command, "--input", str(measure_file), *fine]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if line.split()[0] == "q")
+    labels = [line.split()[0] for line in lines[header + 1:header + 1 + rows]]
+    assert all(label.startswith("1") for label in labels)
+    assert len(set(labels)) == rows
+
+
 def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
     # on the reference cascade the accuracy order is backward, forward,
     # polynomial baseline, centered

@@ -320,15 +320,22 @@ def test_surface_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(surface.values, again.values)
 
 
-# edge cases of repr: signed zero, the smallest subnormal, the largest
-# double, and the switches to exponent notation
-REPR_EDGES = [-0.0, 5e-324, 1.7976931348623157e308, 1e-7, 1e16]
+# edge cases of repr: both signed zeros, equal as floats but printed apart,
+# the smallest subnormal, the largest double, and the switches to exponent notation
+REPR_EDGES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-7, 1e16]
 
 
-@pytest.mark.parametrize("length", [1, 4095, 4096, 4097, 8193])
-def test_series_csv_pieces_make_the_one_shot_text(length, tmp_path):
+@pytest.mark.parametrize("length, distinct", [
+    *(pytest.param(length, 9, id=str(length)) for length in (1, 4095, 4096, 4097, 8193)),
+    # pieces mostly distinct: one repr per value
+    pytest.param(8193, 8193, id="8193-all-distinct"),
+    # one piece with exactly half, and just over half, of its values distinct
+    pytest.param(4096, 2048, id="4096-half-distinct"),
+    pytest.param(4096, 2049, id="4096-over-half-distinct"),
+])
+def test_series_csv_pieces_make_the_one_shot_text(length, distinct, tmp_path):
     rng = np.random.default_rng(length)
-    values = np.resize(REPR_EDGES + rng.standard_normal(3).tolist(), length)
+    values = np.resize(REPR_EDGES + rng.standard_normal(distinct - len(REPR_EDGES)).tolist(), length)
     series = Series(values)
     path = tmp_path / "s.csv"
     write_series_csv(series, path)
@@ -337,12 +344,28 @@ def test_series_csv_pieces_make_the_one_shot_text(length, tmp_path):
 
 
 def test_surface_csv_is_the_one_shot_text(tmp_path):
-    values = np.resize(REPR_EDGES + [1.5, -2.25], (3, 5))
-    path = tmp_path / "s.csv"
-    write_surface_csv(Surface(values), path)
-    expected = "".join(",".join(f"{v!r}" for v in row) + "\n" for row in values.tolist())
-    assert path.read_text() == expected
-    assert ingest_surface(path).values.tobytes() == values.tobytes()
+    # one piece; pieces of 4 rows and a last one of 1; rows wider than a piece.
+    # The last row is noise, so a piece of it has mostly distinct values.
+    for shape in [(3, 5), (5, 1000), (3, 4097)]:
+        values = np.resize(REPR_EDGES + [1.5, -2.25], shape)
+        values[-1] = np.random.default_rng(shape[1]).standard_normal(shape[1])
+        path = tmp_path / f"{shape}.csv"
+        write_surface_csv(Surface(values), path)
+        expected = "".join(",".join(f"{v!r}" for v in row) + "\n" for row in values.tolist())
+        assert path.read_text() == expected
+        assert ingest_surface(path).values.tobytes() == values.tobytes()
+
+
+# columns as the emitters pass them: lists of ints, tuples, arrays; mostly repeated; empty
+@pytest.mark.parametrize("columns", [
+    [[1, 2, 3], (0.5, -0.0, 0.0), np.array(REPR_EDGES[:3])],
+    [np.resize(REPR_EDGES, 64), np.arange(64)],
+    [[], []],
+])
+def test_csv_table_is_one_repr_per_cell(columns):
+    header = [f"c{i}" for i in range(len(columns))]
+    rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
+    assert pipeline.csv_table(header, columns) == "\n".join([",".join(header)] + rows) + "\n"
 
 
 def _traced_peak(call):
@@ -367,6 +390,17 @@ def test_ingest_holds_little_more_than_its_values(kind, tmp_path):
         values, peak = _traced_peak(lambda: ingest_surface(path).values)
     assert values.size == 2**16
     assert peak <= 2 * values.nbytes
+
+
+@pytest.mark.parametrize("kind", ["cascade", "noise"])
+def test_surface_writer_holds_one_piece_at_a_time(kind, tmp_path):
+    # a bound set by the piece, not by the surface's 2 MB of values and 5 MB of text
+    if kind == "cascade":
+        surface = cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), levels=9))
+    else:
+        surface = Surface(np.random.default_rng(6).standard_normal((512, 512)))
+    _, peak = _traced_peak(lambda: write_surface_csv(surface, tmp_path / "s.csv"))
+    assert peak <= 256 * pipeline._CSV_CHUNK
 
 
 @pytest.mark.parametrize("ingest", [ingest_series, ingest_surface])
