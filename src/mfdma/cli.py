@@ -54,14 +54,13 @@ EXIT_IO = 4
 EXIT_MEMORY = 5
 
 
-def format_with_error(value: float, se: float, decimals: int = 3) -> str:
-    """Render value(err) with the error in units of the last digit.
+def format_with_error(value: float, se: float) -> str:
+    """Render value(err) to 3 decimals, the error in units of the last digit.
 
     0.874 with se 0.006 becomes ``0.874(6)``; errors of ten or more last
     digits keep their extra figures, as in ``1.401(12)``.
     """
-    scaled = int(round(se * 10**decimals))
-    return f"{value:.{decimals}f}({scaled})"
+    return f"{value:.3f}({int(round(se * 1000))})"
 
 
 def _print_scaling_summary(bundle, label=None):

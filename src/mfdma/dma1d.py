@@ -77,12 +77,13 @@ class SegmentFluctuations:
         object.__setattr__(self, "values", v)
 
 
-def _compensated_cumsum(x: np.ndarray, block: int = 1024) -> np.ndarray:
+def _compensated_cumsum(x: np.ndarray) -> np.ndarray:
     """Cumulative sum with a Neumaier-compensated carry across blocks.
 
     Within each block plain cumsum is used, so the uncompensated run length
     is bounded by ``block`` regardless of the input size.
     """
+    block = 1024
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     carry = 0.0

@@ -212,40 +212,21 @@ def _read_rows(path, columns, header: bool = False) -> np.ndarray:
     return np.frombuffer(values).reshape(-1, width)
 
 
-def _without_trailing_comma(lines):
-    """``lines``, each without one comma right before its end unless it would go blank."""
-    for line in lines:
-        body = line[:-1] if line.endswith("\n") else line
-        yield body[:-1] if body.endswith(",") and body[:-1].strip() else line
+def _numpy_rows(path) -> np.ndarray | None:
+    """The rows of a file in the written format as numpy's C reader reads them, else None.
 
-
-def _numpy_rows(path, header: bool = False) -> np.ndarray | None:
-    """The rows of a valid file as numpy's C reader reads them, else None.
-
-    None leaves ``_read_rows`` to name the fault: numpy raised or warned (an
-    empty file warns), or read no value or one that is not finite.  A
-    ``MemoryError`` propagates, since the Python reader holds more.  ``header``
-    skips a comma-free line 1 that is not a number, as ``_read_rows`` does.
-    If line 1 ends with a comma, numpy reads every line without its trailing one.
+    None leaves ``_read_rows`` to read the file or name its fault: numpy raised
+    or warned (an empty file warns; a header or trailing comma raises), or read
+    no value or one that is not finite.  A ``MemoryError`` propagates, since the
+    Python reader holds more.
     """
     try:
-        with open(path, encoding="utf-8-sig", errors="surrogateescape") as handle:
-            first = handle.readline().strip()
-            skip = 0
-            if header and "," not in first:
-                try:
-                    float(first)
-                except ValueError:
-                    skip = 1
-            handle.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                rows = np.loadtxt(_without_trailing_comma(handle) if first.endswith(",") else path,
-                                  delimiter=",", comments=None, encoding="utf-8-sig", ndmin=2,
-                                  skiprows=skip)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(path, delimiter=",", comments=None, encoding="utf-8-sig", ndmin=2)
     except MemoryError:
         raise
-    except Exception:  # whatever else numpy raised, _read_rows re-reads and names the fault
+    except Exception:  # whatever else numpy raised, _read_rows re-reads the file
         return None
     return rows if rows.size and np.isfinite(rows).all() else None
 
@@ -267,7 +248,7 @@ def ingest_series(path) -> Series:
     Any other bad row raises InputFormatError naming its line.
     """
     path = Path(path)
-    rows = _numpy_rows(path, header=True)
+    rows = _numpy_rows(path)
     if rows is None or rows.shape[1] != 1:
         rows = _read_rows(path, _single_column, header=True)
     return Series(rows[:, 0], name=path.name)

@@ -181,3 +181,44 @@ def white_noise_f2_mfdfa_1d(n: int) -> float:
     cumsum = np.tril(np.ones((n, n)))
     weights = cumsum - line @ np.linalg.lstsq(line, cumsum, rcond=None)[0]
     return float(np.sum(weights ** 2) / n)
+
+
+def white_noise_weights_mfdma_2d(n: int, theta: float) -> np.ndarray:
+    """The weights of 2-d MFDMA's residual eps(j) on the inputs, as coded.
+
+    With d = min(floor(n theta), n - 1), as in :func:`mfdma_rms_2d`, eps(j)
+    = total(j) - cummean(j + (d, d)).  total weighs every entry of W(j) by
+    +1; the input at offset (a, b) of W(j + (d, d)) is in (n - a)(n - b) of
+    that window's n^2 cumulative sums, so cummean weighs it by -(n - a)(n -
+    b) / n^2.  Entry (a, b) of the (n + d) x (n + d) result is the weight of
+    the input at j + (a, b); the two windows overlap, since d < n.
+    """
+    d = min(math.floor(n * theta), n - 1)
+    ramp = np.arange(n, 0, -1)
+    weights = np.zeros((n + d, n + d))
+    weights[:n, :n] += 1.0
+    weights[d:, d:] -= np.outer(ramp, ramp) / n ** 2
+    return weights
+
+
+def white_noise_weights_mfdfa_2d(n: int) -> np.ndarray:
+    """The weights of 2-d MFDFA's residuals on one block's inputs: (I - P) L.
+
+    L is the block-local 2-d cumulative sum, as in :func:`mfdfa_rms_2d`, and
+    P projects onto planes a + b u + c v; rows and columns index the n x n
+    block in row-major order, row (u, v) giving the residual at (u, v).
+    """
+    u, v = np.divmod(np.arange(n * n), n)
+    cumsum = ((u[None, :] <= u[:, None]) & (v[None, :] <= v[:, None])).astype(float)
+    plane = np.column_stack([np.ones(n * n), u, v])
+    return cumsum - plane @ np.linalg.lstsq(plane, cumsum, rcond=None)[0]
+
+
+def white_noise_f2_mfdma_2d(n: int, theta: float) -> float:
+    """E[F_2(n)^2] of 2-d MFDMA at window side n and position theta on white noise."""
+    return float(np.sum(white_noise_weights_mfdma_2d(n, theta) ** 2))
+
+
+def white_noise_f2_mfdfa_2d(n: int) -> float:
+    """E[F_2(n)^2] of 2-d MFDFA at block side n on white noise: ||(I - P) L||_F^2 / n^2."""
+    return float(np.sum(white_noise_weights_mfdfa_2d(n) ** 2) / n ** 2)

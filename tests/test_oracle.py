@@ -108,3 +108,45 @@ def test_white_noise_f2_has_its_exact_expectation_1d(theta):
     mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
     assert np.all(se < 0.02), se  # enough power to tell a one-point shift of the window
     assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
+
+
+# the 2-d half: a surface of NOISE_SIDE^2 points per seed, the same seeds and bound
+NOISE_SIDE = 256
+NOISE_SCALES_2D = [4, 6, 8]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_white_noise_weights_make_the_2d_residual_maps(n):
+    x = np.random.default_rng(n).standard_normal((13, 11))
+    for theta in THETAS:
+        cfg = dma2d.DetrendConfig2D(n, n, theta)
+        residuals = dma2d.residual_matrix_2d(dma2d.window_aggregates(x, cfg), cfg)
+        weights = reference.white_noise_weights_mfdma_2d(n, theta)
+        windows = np.lib.stride_tricks.sliding_window_view(x, weights.shape)
+        np.testing.assert_allclose(residuals, np.einsum("ijab,ab->ij", windows, weights),
+                                   rtol=1e-12, atol=1e-12)
+    blocks = dma1d._blocks(x, n)  # axes (c1, u, c2, v)
+    residuals = dma2d._plane_residuals(blocks.cumsum(axis=3).cumsum(axis=1))
+    flat = blocks.transpose(0, 2, 1, 3).reshape(*blocks.shape[::2], n * n)
+    expected = (flat @ reference.white_noise_weights_mfdfa_2d(n).T).reshape(
+        *blocks.shape[::2], n, n).transpose(0, 2, 1, 3)
+    np.testing.assert_allclose(residuals, expected, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
+def test_white_noise_f2_has_its_exact_expectation_2d(theta):
+    if theta is None:
+        estimate = functools.partial(mfdfa_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0])
+        exact = [reference.white_noise_f2_mfdfa_2d(n) for n in NOISE_SCALES_2D]
+    else:
+        estimate = functools.partial(mfdma_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0],
+                                     theta=theta)
+        exact = [reference.white_noise_f2_mfdma_2d(n, theta) for n in NOISE_SCALES_2D]
+    ratios = np.array([
+        estimate(np.random.default_rng(seed).standard_normal((NOISE_SIDE, NOISE_SIDE)))
+        .values[:, 0] ** 2
+        for seed in NOISE_SEEDS
+    ]) / exact
+    mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
+    assert np.all(se < 0.02), se  # the 1-d shift rule moves F_2^2 by 15% or more at theta 0.5
+    assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 import warnings
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ INGEST_CORPUS = {
     "series-extremes": ("series", "-0.0\n5e-324\n1e308\n", [-0.0, 5e-324, 1e308]),
     "non-finite-comma-free-line-3": ("series", "1\n2\n 1e999 \n", _fails(
         3, "line 3: non-finite value '1e999'")),
-    # a line 1 ending in a comma has numpy read every line without one trailing comma
+    # numpy's reader rejects every trailing comma; the Python reader drops one per line
     "commas-only-series": ("series", ",,", _fails(None, "no data rows")),
     "commas-only-surface": ("surface", ",,", _fails(1, "line 1: not a number: ''")),
     "trailing-comma-on-line-1-only": ("surface", "1,2,\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
@@ -258,26 +259,40 @@ def test_numpy_reader_agrees_with_the_python_reader(text, scratch_csv):
         assert fast == slow
 
 
-def test_valid_files_never_reach_the_python_reader(tmp_path, monkeypatch):
-    """A broken numpy path would fall back silently; here the fallback fails instead."""
-    def python_reader(*args, **kwargs):
-        raise AssertionError("the Python reader ran")
-
-    monkeypatch.setattr(pipeline, "_read_rows", python_reader)
+def _write_cascades(tmp_path):
+    """A binomial series and a cascade surface as written, and the variants of their text."""
     series = binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=8))
     surface = cascade_measure_2d(CascadeSpec2D(weights=(0.1, 0.2, 0.3, 0.4), levels=4))
     write_series_csv(series, tmp_path / "series.csv")
     write_surface_csv(surface, tmp_path / "surface.csv")
     text = (tmp_path / "series.csv").read_text()
-    (tmp_path / "headed.csv").write_text("ret\n" + text)
     (tmp_path / "crlf.csv").write_bytes(text.replace("\n", "\r\n").encode())
+    (tmp_path / "headed.csv").write_text("ret\n" + text)
     (tmp_path / "commas.csv").write_bytes(text.replace("\n", ",\r\n").encode())
     surface_text = (tmp_path / "surface.csv").read_text()
     (tmp_path / "surface-commas.csv").write_text(surface_text.replace("\n", ",\n"))
-    for name in ("series.csv", "headed.csv", "crlf.csv", "commas.csv"):
+    return series, surface
+
+
+def test_valid_files_never_reach_the_python_reader(tmp_path, monkeypatch):
+    """A broken numpy path would fall back silently; here the fallback fails instead."""
+    def python_reader(*args, **kwargs):
+        raise AssertionError("the Python reader ran")
+
+    series, surface = _write_cascades(tmp_path)
+    monkeypatch.setattr(pipeline, "_read_rows", python_reader)
+    for name in ("series.csv", "crlf.csv"):
         assert ingest_series(tmp_path / name).values.tobytes() == series.values.tobytes()
-    for name in ("surface.csv", "surface-commas.csv"):
-        assert ingest_surface(tmp_path / name).values.tobytes() == surface.values.tobytes()
+    assert ingest_surface(tmp_path / "surface.csv").values.tobytes() == surface.values.tobytes()
+
+
+def test_headed_and_comma_files_read_the_written_values(tmp_path):
+    # numpy's reader rejects a header or a trailing comma; the Python reader takes both
+    series, surface = _write_cascades(tmp_path)
+    for name in ("headed.csv", "commas.csv"):
+        assert ingest_series(tmp_path / name).values.tobytes() == series.values.tobytes()
+    surface_commas = ingest_surface(tmp_path / "surface-commas.csv")
+    assert surface_commas.values.tobytes() == surface.values.tobytes()
 
 
 @pytest.mark.parametrize("text", ["\ufeff1.5\n2.5\n3.5\n", "\ufeffret\n1.5\n2.5\n3.5\n"])
@@ -325,6 +340,16 @@ def test_surface_csv_round_trip_is_exact(tmp_path):
 REPR_EDGES = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e-7, 1e16]
 
 
+def assert_same_lines(text, expected):
+    """``text == expected``, reported as the first line that differs.
+
+    pytest's own diff of two texts of some 100 KB can run for minutes.
+    """
+    pairs = zip_longest(text.splitlines(keepends=True), expected.splitlines(keepends=True))
+    for line_no, (got, want) in enumerate(pairs, start=1):
+        assert got == want, f"line {line_no}: got {got!r}, expected {want!r}"
+
+
 @pytest.mark.parametrize("length, distinct", [
     *(pytest.param(length, 9, id=str(length)) for length in (1, 4095, 4096, 4097, 8193)),
     # pieces mostly distinct: one repr per value
@@ -339,7 +364,7 @@ def test_series_csv_pieces_make_the_one_shot_text(length, distinct, tmp_path):
     series = Series(values)
     path = tmp_path / "s.csv"
     write_series_csv(series, path)
-    assert path.read_text() == "".join(f"{v!r}\n" for v in values.tolist())
+    assert_same_lines(path.read_text(), "".join(f"{v!r}\n" for v in values.tolist()))
     assert ingest_series(path).values.tobytes() == values.tobytes()
 
 
@@ -352,7 +377,7 @@ def test_surface_csv_is_the_one_shot_text(tmp_path):
         path = tmp_path / f"{shape}.csv"
         write_surface_csv(Surface(values), path)
         expected = "".join(",".join(f"{v!r}" for v in row) + "\n" for row in values.tolist())
-        assert path.read_text() == expected
+        assert_same_lines(path.read_text(), expected)
         assert ingest_surface(path).values.tobytes() == values.tobytes()
 
 
