@@ -41,6 +41,7 @@ from .pipeline import (
     ingest_input,
     ingest_series,  # noqa: F401  perfbench's trace wraps mfdma.cli.ingest_series
     json_text,
+    run_pipeline,
     write_series_csv,
     write_surface_csv,
 )
@@ -141,7 +142,7 @@ def cmd_generate(args) -> int:
 
 def cmd_analyze(args) -> int:
     cfg = _config(args, AnalysisConfig.read_config_file(args.config))
-    bundle = analyze(cfg, *ingest_input(cfg))
+    bundle = run_pipeline(cfg)
     _print_scaling_summary(bundle, label=Path(cfg.input_path).name)
     if cfg.out_dir is not None:
         written = emit_results(bundle, cfg.out_dir, cfg.out_format)

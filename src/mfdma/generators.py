@@ -106,6 +106,14 @@ class CascadeSpec2D:
     ``weights`` are the mass fractions assigned to the four quadrants in
     row-major order (top-left, top-right, bottom-left, bottom-right) and
     must sum to one.  The output is a 2**levels square matrix.
+
+    A weight may be zero, unlike ``CascadeSpec1D``'s ``p1``, which must lie
+    strictly inside (0, 1).  With k nonzero weights the mass lives on a
+    support of dimension log2(k) < 2, whose q > 0 moments still scale; a
+    binomial cascade with p1 = 0 or 1 is a single spike.  Zero cells
+    give zero-RMS segments, so the estimators raise DegenerateSegmentError
+    for q <= 0, and the analytic formulas, whose w**q diverges there,
+    reject zero weights in both dimensions.
     """
 
     weights: tuple[float, float, float, float]

@@ -270,8 +270,9 @@ _CSV_CHUNK = 4096  # values per piece: the whole file's text never exists at onc
 def _series_csv(series: Series):
     """The text of ``write_series_csv``, in pieces of at most ``_CSV_CHUNK`` lines."""
     values = series.values
+    memo = {}
     for start in range(0, values.size, _CSV_CHUNK):
-        yield "\n".join(_reprs(values[start:start + _CSV_CHUNK])) + "\n"
+        yield "\n".join(_reprs(values[start:start + _CSV_CHUNK], memo)) + "\n"
 
 
 def write_series_csv(series: Series, path):
@@ -285,8 +286,9 @@ def _surface_csv(surface: Surface):
     values = surface.values
     width = values.shape[1]
     step = max(1, _CSV_CHUNK // width)
+    memo = {}
     for start in range(0, len(values), step):
-        texts = _reprs(values[start:start + step])
+        texts = _reprs(values[start:start + step], memo)
         yield "".join(",".join(texts[i:i + width]) + "\n" for i in range(0, len(texts), width))
 
 
@@ -439,12 +441,18 @@ def csv_table(header, columns) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _reprs(values) -> list:
+def _reprs(values, memo=None) -> list:
     """The full-precision text of each value, as a list of strings.
 
     The text is ``repr`` of the float.  When at most half the values are
     distinct, as in a cascade, each distinct one is formatted once.  Values
     are told apart by their bits: ``-0.0 == 0.0``, but the two print apart.
+    ``memo`` maps the bits of each value formatted so far to its text; the
+    pieces of one file share it, so a value is formatted once per file.
+    Only pieces with at most half their values distinct read or feed it,
+    and it is emptied before it would hold more texts than a piece has
+    values, so a file of ever-new values costs memory of a piece, not of
+    the file.
     """
     values = np.ascontiguousarray(values, dtype=float).reshape(-1)
     bits = values.view(np.int64)
@@ -453,8 +461,12 @@ def _reprs(values) -> list:
     if 2 * (np.count_nonzero(new) + 1) > keys.size:  # mostly distinct: sharing saves nothing
         return list(map(repr, values.tolist()))
     distinct = np.concatenate((keys[:1], keys[1:][new]))
-    texts = list(map(repr, distinct.view(float).tolist()))
-    return list(map(texts.__getitem__, np.searchsorted(distinct, bits).tolist()))
+    memo = {} if memo is None else memo
+    if len(memo) + distinct.size > _CSV_CHUNK:
+        memo.clear()
+    pairs = zip(distinct.tolist(), distinct.view(float).tolist())
+    texts = [memo[key] if key in memo else memo.setdefault(key, repr(value)) for key, value in pairs]
+    return np.array(texts, dtype=object)[np.searchsorted(distinct, bits)].tolist()
 
 
 def _plot_block(title, x_text, ys) -> str:

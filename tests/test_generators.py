@@ -7,11 +7,14 @@ from hypothesis.extra.numpy import arrays
 from mfdma import (
     CascadeSpec1D,
     CascadeSpec2D,
+    DegenerateSegmentError,
     Series,
     ValidationError,
+    analytic_tau,
     binomial_measure_1d,
     cascade_measure_2d,
     gaussian_noise,
+    mfdma_fluctuations_2d,
     shuffle_surrogate,
 )
 
@@ -78,6 +81,25 @@ def test_cascade2d_rejects_bad_weights():
         CascadeSpec2D(weights=(0.1, 0.2, 0.3, 0.5), levels=2)
     with pytest.raises(ValidationError):
         CascadeSpec2D(weights=(-0.1, 0.5, 0.3, 0.3), levels=2)
+
+
+def test_zero_weight_convention():
+    # 2-d: a zero weight is accepted; 3 nonzero weights put the mass on 3**levels
+    # cells, a support of dimension log2(3), and the zero cells stop every q <= 0
+    surface = cascade_measure_2d(CascadeSpec2D(weights=(0.0, 0.2, 0.3, 0.5), levels=6))
+    assert np.count_nonzero(surface.values) == 3**6
+    assert np.all(mfdma_fluctuations_2d(surface, [4, 8], [1.0, 2.0]).values > 0)
+    for q in (0.0, -2.0):
+        with pytest.raises(DegenerateSegmentError, match=f"q={q:g} moments"):
+            mfdma_fluctuations_2d(surface, [4, 8], [q, 2.0])
+    # 1-d: p1 must lie strictly inside (0, 1)
+    for p1 in (0.0, 1.0):
+        with pytest.raises(ValidationError, match="strictly inside"):
+            CascadeSpec1D(p1=p1, levels=4)
+    # the closed forms, behind the oracle and compare, reject a zero weight in both
+    for weights in [(0.0, 0.2, 0.3, 0.5), (0.0, 1.0)]:
+        with pytest.raises(ValidationError, match="strictly positive"):
+            analytic_tau(weights, 2.0)
 
 
 def test_cascade2d_rejects_a_nan_weight():

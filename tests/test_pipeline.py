@@ -381,6 +381,36 @@ def test_surface_csv_is_the_one_shot_text(tmp_path):
         assert ingest_surface(path).values.tobytes() == values.tobytes()
 
 
+def _memo_pieces(piece):
+    """Four pieces of ``piece`` values each, as the writers' memo meets them.
+
+    Only -0.0, then only 0.0, which a memo keyed on float values would print
+    alike; then noise, mostly distinct, and a repetition of that noise's
+    first values, which the memo meets for the first time.
+    """
+    noise = np.random.default_rng(piece).standard_normal(piece)
+    return np.concatenate([np.full(piece, -0.0), np.zeros(piece), noise, np.resize(noise[:9], piece)])
+
+
+def test_series_csv_memo_spans_pieces(tmp_path):
+    values = _memo_pieces(pipeline._CSV_CHUNK)
+    path = tmp_path / "s.csv"
+    write_series_csv(Series(values), path)
+    assert_same_lines(path.read_text(), "".join(f"{v!r}\n" for v in values.tolist()))
+    assert ingest_series(path).values.tobytes() == values.tobytes()
+
+
+def test_surface_csv_memo_spans_row_pieces(tmp_path):
+    width = 1024
+    rows_per_piece = pipeline._CSV_CHUNK // width
+    values = _memo_pieces(rows_per_piece * width).reshape(-1, width)
+    path = tmp_path / "s.csv"
+    write_surface_csv(Surface(values), path)
+    expected = "".join(",".join(f"{v!r}" for v in row) + "\n" for row in values.tolist())
+    assert_same_lines(path.read_text(), expected)
+    assert ingest_surface(path).values.tobytes() == values.tobytes()
+
+
 # columns as the emitters pass them: lists of ints, tuples, arrays; mostly repeated; empty
 @pytest.mark.parametrize("columns", [
     [[1, 2, 3], (0.5, -0.0, 0.0), np.array(REPR_EDGES[:3])],
@@ -417,13 +447,18 @@ def test_ingest_holds_little_more_than_its_values(kind, tmp_path):
     assert peak <= 2 * values.nbytes
 
 
-@pytest.mark.parametrize("kind", ["cascade", "noise"])
+@pytest.mark.parametrize("kind", ["cascade", "noise", "new-values"])
 def test_surface_writer_holds_one_piece_at_a_time(kind, tmp_path):
     # a bound set by the piece, not by the surface's 2 MB of values and 5 MB of text
+    rng = np.random.default_rng(6)
     if kind == "cascade":
         surface = cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), levels=9))
+    elif kind == "noise":
+        surface = Surface(rng.standard_normal((512, 512)))
     else:
-        surface = Surface(np.random.default_rng(6).standard_normal((512, 512)))
+        # every piece half distinct, with values no earlier piece had: the memo
+        # of formatted values must not grow with the file
+        surface = Surface(np.repeat(rng.standard_normal(2**17), 2).reshape(512, 512))
     _, peak = _traced_peak(lambda: write_surface_csv(surface, tmp_path / "s.csv"))
     assert peak <= 256 * pipeline._CSV_CHUNK
 
