@@ -166,14 +166,15 @@ def residual_series(
     """Residuals y(i) - ytilde(i) over the defined domain, length N - n + 1.
 
     ``means`` are the averages :func:`moving_average` gives at cfg.n, the
-    same for every theta.  Without them, they are formed here with ``out``
-    passed on, and the residuals overwrite them.  With them, the residuals
-    go to ``out``, a flat float buffer, or else to a fresh array.
+    same for every theta; without them, they are formed here.  The
+    residuals go to ``out``, a flat float buffer, if given; else over the
+    means when they were formed here, else to a fresh array.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
     if means is None:
-        means = out = moving_average(y, cfg, out=out)
+        means = moving_average(y, cfg)
+        out = means if out is None else out
     future = cfg.future_points
     # domain of i is [n - future, N - future] (1-based)
     return np.subtract(y[n - future - 1: y.size - future], means, out=_take(out, means.shape))
@@ -185,10 +186,8 @@ def _blocks(x: np.ndarray, n: int) -> np.ndarray:
     return x[tuple(slice(c * n) for c in counts)].reshape([d for c in counts for d in (c, n)])
 
 
-def segment_rms(
-    residuals: np.ndarray, n: int, *, out=None, carry=None
-) -> SegmentFluctuations | np.ndarray:
-    """RMS over disjoint blocks of side n of a residual series or matrix.
+def segment_rms(residuals: np.ndarray, n: int, *, out=None, carry=None) -> np.ndarray:
+    """The RMS F_v over disjoint blocks of side n of a residual series or matrix.
 
     Each axis is cut into ``side // n`` whole blocks and the remainder is
     dropped; a matrix's blocks are listed in row-major order.  The squares
@@ -211,13 +210,12 @@ def segment_rms(
     squares = np.square(eps, out=out)[..., :blocks * n]
     sums = squares.reshape(*eps.shape[:-1], blocks, n).sum(axis=-1)
     if eps.ndim == 2:
-        pending = np.concatenate([*(carry or []), sums])
+        pending = np.concatenate([*carry, sums]) if carry else sums
         done = len(pending) // n * n
         if carry is not None:
-            carry[:] = [pending[done:]]
+            carry[:] = [pending[done:]] if done < len(pending) else []
         sums = np.add.reduce(pending[:done].reshape(-1, n, blocks), axis=1)
-    rms = np.sqrt(sums / float(n ** eps.ndim)).ravel()
-    return rms if carry is not None else SegmentFluctuations(rms, scale=n)
+    return np.sqrt(sums / float(n ** eps.ndim)).ravel()
 
 
 def _power_mean(values: np.ndarray, qs, scale, *, out=None) -> np.ndarray:
@@ -334,7 +332,7 @@ def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
         rms = []
         for theta in thetas:
             resid = residual_series(y, DetrendConfig(n, theta), out=workspace[0], means=means)
-            rms.append(segment_rms(resid, n, out=resid).values)
+            rms.append(segment_rms(resid, n, out=resid))
         return rms
 
     return _fluctuation_tables(grid, qs, rms_at, workspace[1])
@@ -374,6 +372,6 @@ def mfdfa_fluctuations_1d(series, scales, qs, order: int = 1) -> FluctuationTabl
 
     def rms_at(n):
         resid = _line_residuals(_blocks(y, n), out=workspace).reshape(-1)
-        return [segment_rms(resid, n, out=resid).values]
+        return [segment_rms(resid, n, out=resid)]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

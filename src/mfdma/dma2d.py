@@ -317,7 +317,7 @@ def mfdfa_fluctuations_2d(surface, scales, qs) -> FluctuationTable:
             sums = np.cumsum(part, axis=3, out=_take(workspace, part.shape))
             _carry(sums.swapaxes(0, 1))  # the cumulative sums along v, then along u
             resid = _plane_residuals(sums).reshape(len(part) * n, -1)
-            rms.append(segment_rms_2d(resid, n, out=resid).values)
+            rms.append(segment_rms_2d(resid, n, out=resid))
         return [np.concatenate(rms)]
 
     return _fluctuation_tables(grid, qs, rms_at, workspace)[0]

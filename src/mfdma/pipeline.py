@@ -95,6 +95,7 @@ class AnalysisConfig:
     out_format: str = "json"
 
     def __post_init__(self):
+        _check_types(vars(self))
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 label = name.removeprefix("out_")
@@ -106,8 +107,8 @@ class AnalysisConfig:
         qs = build_q_grid(self.q_min, self.q_max, self.q_step)
         _check_legendre_window(qs, self.legendre_half_window)
 
-    @classmethod
-    def read_config_file(cls, config_file: str | None) -> dict:
+    @staticmethod
+    def read_config_file(config_file: str | None) -> dict:
         """The fields a JSON config file sets, none for None, each of its declared type."""
         if config_file is None:
             return {}
@@ -122,14 +123,7 @@ class AnalysisConfig:
             raise ValidationError(f"config file {path} must hold a JSON object")
         if unknown := sorted(set(loaded) - set(DEFAULTS)):
             raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
-        for key, value in loaded.items():
-            allowed = FIELD_TYPES[key]
-            if float in allowed:
-                allowed += (int,)  # a JSON integer is a valid float
-            # no field is boolean, and a JSON boolean is not an integer
-            if isinstance(value, bool) or not isinstance(value, allowed):
-                declared = cls.__annotations__[key]
-                raise ValidationError(f"config key {key} must be {declared}, got {value!r}")
+        _check_types(loaded, label="config key ")
         return loaded
 
 
@@ -141,6 +135,21 @@ FIELD_TYPES = {
     name: typing.get_args(hint) or (hint,)
     for name, hint in typing.get_type_hints(AnalysisConfig).items()
 }
+
+
+def _check_types(values: dict, label: str = "") -> None:
+    """Raise unless each AnalysisConfig field in ``values`` holds a value of its declared type.
+
+    An integer is a valid float, as a JSON integer is; no field is boolean,
+    and a boolean is never a number.
+    """
+    for key, value in values.items():
+        allowed = FIELD_TYPES[key]
+        if float in allowed:
+            allowed += (int,)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            declared = AnalysisConfig.__annotations__[key]
+            raise ValidationError(f"{label}{key} must be {declared}, got {value!r}")
 
 
 @dataclass(eq=False)
@@ -401,6 +410,12 @@ def run_pipeline(cfg: AnalysisConfig) -> ResultBundle:
 
 
 def _bundle_to_dict(bundle: ResultBundle) -> dict:
+    """The document ``result.json`` holds: the bundle's arrays as float lists, and its provenance.
+
+    Its bytes are deterministic for one numpy build on one set of CPU
+    features.  numpy's SIMD ``exp`` and ``log`` round some values apart
+    across CPU features, so on another machine the last digits may differ.
+    """
     est = bundle.estimate
     qs = est.qs.values
     return {

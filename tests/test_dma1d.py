@@ -105,10 +105,10 @@ ORACLE_RTOL = 1e-9
 def _oracle_fv(monkeypatch, y, n, theta, mean=window_mean):
     """Per-segment F_v at scale n, from moving_average and from ``mean``."""
     cfg = DetrendConfig(n, theta)
-    fast = segment_rms(residual_series(y, cfg), n).values
+    fast = segment_rms(residual_series(y, cfg), n)
     with monkeypatch.context() as patch:
-        patch.setattr(dma1d, "moving_average", lambda values, c, out: mean(values, c.n))
-        slow = segment_rms(residual_series(y, cfg), n).values
+        patch.setattr(dma1d, "moving_average", lambda values, c: mean(values, c.n))
+        slow = segment_rms(residual_series(y, cfg), n)
     return fast, slow
 
 
@@ -194,13 +194,18 @@ def test_residual_length_large_case(rng):
 
 def test_segment_rms_examples():
     segs = segment_rms(np.array([3.0, 4.0, 0.0, 0.0]), 2)
-    assert segs.values == pytest.approx([3.5355339, 0.0], abs=1e-7)
-    assert segs.scale == 2
+    assert segs == pytest.approx([3.5355339, 0.0], abs=1e-7)
 
-    assert np.array_equal(segment_rms(np.zeros(12), 3).values, np.zeros(4))
+    assert np.array_equal(segment_rms(np.zeros(12), 3), np.zeros(4))
 
     truncated = segment_rms(np.array([1.0, 1.0, 1.0]), 2)
-    assert np.array_equal(truncated.values, [1.0])
+    assert np.array_equal(truncated, [1.0])
+
+
+def test_segment_rms_returns_the_f_v_array(rng):
+    eps = rng.standard_normal((12, 12))
+    for f_v in (segment_rms(eps[0], 3), segment_rms(eps, 3), segment_rms(eps, 3, carry=[])):
+        assert type(f_v) is np.ndarray and f_v.shape == (f_v.size,)
 
 
 def test_segment_rms_rejects_oversize_blocks():
@@ -415,8 +420,8 @@ def test_reversed_backward_matches_forward(data):
     assert np.allclose(rev, -fwd[::-1], rtol=0, atol=1e-12 * np.abs(profile(x)).max())
     # so block for block from the other end, the F_v agree
     tiled = fwd.size // n * n
-    f_fwd = segment_rms(fwd[fwd.size - tiled:], n).values
-    assert np.allclose(segment_rms(rev[:tiled], n).values, f_fwd[::-1], rtol=1e-9)
+    f_fwd = segment_rms(fwd[fwd.size - tiled:], n)
+    assert np.allclose(segment_rms(rev[:tiled], n), f_fwd[::-1], rtol=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -447,7 +452,7 @@ def test_pass_workspace_is_bitwise_the_allocating_functions(theta, scales):
     y = profile(values)
     expected = dma1d._fluctuation_tables(
         as_scale_grid(scales), WORKSPACE_QS,
-        lambda n: [segment_rms(residual_series(y, DetrendConfig(n, theta)), n).values],
+        lambda n: [segment_rms(residual_series(y, DetrendConfig(n, theta)), n)],
     )[0]
     table = mfdma_fluctuations_1d(values, scales, WORKSPACE_QS, theta)
     assert table.values.tobytes() == expected.values.tobytes()
@@ -463,10 +468,19 @@ def test_calls_without_out_return_fresh_arrays_and_keep_their_input(rng):
         assert not np.shares_memory(first, y)
     resid = residual_series(y, cfg)
     kept_resid = resid.copy()
-    first, second = segment_rms(resid, 10).values, segment_rms(resid, 10).values
+    first, second = segment_rms(resid, 10), segment_rms(resid, 10)
     assert not np.shares_memory(first, second)
     assert np.array_equal(y, kept)
     assert np.array_equal(resid, kept_resid)
+
+
+def test_residuals_formed_without_means_go_to_out(rng):
+    y = profile(rng.standard_normal(1000))
+    cfg = DetrendConfig(10, 0.5)
+    buffer = np.empty(y.size)
+    resid = residual_series(y, cfg, out=buffer)
+    assert np.shares_memory(resid, buffer)
+    assert resid.tobytes() == residual_series(y, cfg).tobytes()
 
 
 def test_the_pass_calls_each_traced_name_once_per_scale(count_calls):

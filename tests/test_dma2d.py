@@ -222,23 +222,23 @@ def test_residual_rejects_mismatched_config(rng):
 
 def test_segment_rms_2d_hand_example():
     segs = segment_rms_2d(np.array([[3.0, 4.0], [0.0, 0.0]]), 2)
-    assert segs.values == pytest.approx([2.5])
+    assert segs == pytest.approx([2.5])
 
 
 def test_segment_rms_2d_zero_matrix():
-    assert not segment_rms_2d(np.zeros((6, 6)), 3).values.any()
+    assert not segment_rms_2d(np.zeros((6, 6)), 3).any()
 
 
 def test_segment_rms_2d_truncates_remainders(rng):
     eps = rng.standard_normal((5, 5))
     segs = segment_rms_2d(eps, 2)
-    assert segs.values.size == 4
+    assert segs.size == 4
     manual = [
         np.sqrt(np.mean(eps[a:a + 2, b:b + 2] ** 2))
         for a in (0, 2)
         for b in (0, 2)
     ]
-    assert np.allclose(segs.values, manual)
+    assert np.allclose(segs, manual)
 
 
 def test_segment_rms_2d_rejects_oversize_blocks():
@@ -288,7 +288,7 @@ def test_pass_workspace_is_bitwise_the_allocating_functions(rng, kind, theta):
 
     def rms_at(n):
         cfg = DetrendConfig2D(n, n, theta)
-        return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n).values
+        return segment_rms_2d(residual_matrix_2d(window_aggregates(values, cfg), cfg), n)
 
     expected = dma1d._fluctuation_tables(scales, qs, lambda n: [rms_at(n)])[0]
     table = mfdma_fluctuations_2d(values, scales, qs, theta)
@@ -386,7 +386,7 @@ def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, s
 
     def rms_at(n):
         aggregates = window_aggregates(values, DetrendConfig2D(n, n))
-        return [segment_rms_2d(residual_matrix_2d(aggregates, cfg), n).values
+        return [segment_rms_2d(residual_matrix_2d(aggregates, cfg), n)
                 for cfg in (DetrendConfig2D(n, n, theta) for theta in thetas)]
 
     expected = dma1d._fluctuation_tables(as_scale_grid(scales), qs, rms_at)
@@ -485,7 +485,7 @@ def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng):
         slope_v = np.einsum("aubv,v->ab", sums, uc) / denom
         resid = sums - (mean[:, None, :, None] + slope_u[:, None, :, None] * uc[:, None, None])
         resid = resid - slope_v[:, None, :, None] * uc
-        return segment_rms_2d(resid.reshape(len(band) * n, -1), n).values
+        return segment_rms_2d(resid.reshape(len(band) * n, -1), n)
 
     def rms_at(n):
         cut = values[:values.shape[0] // n * n, :values.shape[1] // n * n]

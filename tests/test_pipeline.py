@@ -498,6 +498,17 @@ def test_config_validation():
     AnalysisConfig()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_min", 10.5), ("seed", np.int64(3)), ("theta", "0.5"), ("legendre_half_window", True),
+], ids=["int-given-float", "int-given-numpy-int", "float-given-string", "int-given-bool"])
+def test_config_fields_must_have_their_declared_type(field, value):
+    # the rule a --config file's keys follow, for a config built in Python too
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        AnalysisConfig(**{field: value})
+    with pytest.raises(ValidationError, match=f"^{field} must be "):
+        replace(AnalysisConfig(), **{field: value})
+
+
 def test_config_precedence_defaults_file_flags(tmp_path):
     from mfdma import cli
 
@@ -591,8 +602,9 @@ def test_unusable_q_grid_or_fit_range_fails_before_any_estimator(
     def estimator(*args, **kwargs):
         raise AssertionError("an estimator ran before the grids were checked")
 
-    for name in ("mfdma_fluctuations_1d", "mfdfa_fluctuations_1d",
-                 "mfdma_fluctuations_2d", "mfdfa_fluctuations_2d"):
+    # the names analyze_all looks up
+    for name in ("_mfdma_tables_1d", "mfdfa_fluctuations_1d",
+                 "_mfdma_tables_2d", "mfdfa_fluctuations_2d"):
         monkeypatch.setattr(pipeline, name, estimator)
     path = measure_file
     if mode == "surface":

@@ -152,4 +152,4 @@ def test_block_rms_of_rows_in_pieces_is_bitwise_one_call(data):
     carry = []
     pieces = [segment_rms_2d(eps[a:b], n, carry=carry)
               for a, b in zip([0, *cuts], [*cuts, shape[0]])]
-    assert np.concatenate(pieces).tobytes() == segment_rms_2d(eps, n).values.tobytes()
+    assert np.concatenate(pieces).tobytes() == segment_rms_2d(eps, n).tobytes()
