@@ -97,6 +97,7 @@ def _cascade_weights(p1, weights_text):
 # the analysis flags are the AnalysisConfig fields: --field-name, except these
 FLAG_NAMES = {"input_path": "--input", "legendre_half_window": "--legendre-window",
               "out_format": "--format"}
+Q_FIELDS = ("q_min", "q_max", "q_step")  # the analysis flags oracle takes too
 FLAG_HELP = {
     "input_path": "input data file",
     "theta": "window position parameter in [0, 1]",
@@ -104,13 +105,12 @@ FLAG_HELP = {
 }
 
 
-def _add_analysis_options(parser: argparse.ArgumentParser):
-    grid = parser.add_argument_group("analysis options")
-    for name, types in FIELD_TYPES.items():
-        flag = FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
-        grid.add_argument(flag, dest=name, type=types[0], choices=CHOICES.get(name),
-                          help=FLAG_HELP.get(name))
-    grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
+def _add_field_flags(parser, names) -> None:
+    """One flag per AnalysisConfig field of ``names``, of the field's declared type."""
+    for name in names:
+        parser.add_argument(FLAG_NAMES.get(name, "--" + name.replace("_", "-")), dest=name,
+                            type=FIELD_TYPES[name][0], choices=CHOICES.get(name),
+                            help=FLAG_HELP.get(name))
 
 
 def _config(args, loaded: dict) -> AnalysisConfig:
@@ -246,8 +246,7 @@ def cmd_compare(args) -> int:
 def cmd_oracle(args) -> int:
     if (args.p1 is None) == (args.weights is None):
         raise ValidationError("oracle needs exactly one of --p1 or --weights")
-    grid = {k: DEFAULTS[k] if getattr(args, k) is None else getattr(args, k)
-            for k in ("q_min", "q_max", "q_step")}
+    grid = {k: DEFAULTS[k] if getattr(args, k) is None else getattr(args, k) for k in Q_FIELDS}
     qs = build_q_grid(**grid).values
     weights = _cascade_weights(args.p1, args.weights)
     text = csv_table(
@@ -295,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     for name, help_text, func in commands:
         command = sub.add_parser(name, help=help_text)
-        _add_analysis_options(command)
         command.set_defaults(func=func)
+        grid = command.add_argument_group("analysis options")
+        _add_field_flags(grid, FIELD_TYPES)
+        grid.add_argument("--config", help="JSON config file; CLI flags take precedence")
     sub.choices["compare"].add_argument("--analytic-p1", type=float, dest="analytic_p1")
     sub.choices["compare"].add_argument("--analytic-weights", dest="analytic_weights")
 
     orc = sub.add_parser("oracle", help="print closed-form tau/alpha/f of a cascade")
     orc.add_argument("--p1", type=float)
     orc.add_argument("--weights")
-    orc.add_argument("--q-min", type=float, dest="q_min")
-    orc.add_argument("--q-max", type=float, dest="q_max")
-    orc.add_argument("--q-step", type=float, dest="q_step")
+    _add_field_flags(orc, Q_FIELDS)
     orc.add_argument("--out")
     orc.set_defaults(func=cmd_oracle)
 

@@ -222,13 +222,15 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     """The table of :func:`mfdma_fluctuations_2d` at each of ``thetas``, from one pass.
 
     Per scale, the window aggregates, the same for every theta, are formed
-    once, a strip of RECOMPUTE_EVERY rows at a time.  After each strip, each
-    theta sends the residual rows j whose shifted mean row j + d1 the strip
-    holds through its residuals and block RMS, whose carry keeps the row
-    sums of an unfinished block row for the next strip.  Only the window
-    sums of the strip's last d1 rows are read again, so at scale n the pass
-    holds at most RECOMPUTE_EVERY + d1 rows of window sums, d1 being the
-    largest row shift of any theta, and one strip of window means.
+    once, a strip of span = min(N1 - n + 1, RECOMPUTE_EVERY) rows at a
+    time.  Each scale keeps one line layout in the pass's window buffer:
+    line keep - start + j holds the window sums of row j, and line span
+    further on its window means, keep being the largest row shift d1 of any
+    theta.  Before each strip, lines [span, span + keep), the last keep rows
+    of window sums, move to the front.  After it, each theta sends the
+    residual rows j whose shifted mean row j + d1 the strip holds through its
+    residuals and block RMS, whose carry keeps the row sums of an unfinished
+    block row for the next strip: the only state a theta keeps.
     """
     # a Surface is checked once here, not again by every window_aggregates call
     surface = surface if isinstance(surface, Surface) else Surface(surface)
@@ -236,42 +238,37 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     grid = _validate_scales(scales, values.shape)
     (N1, N2), ns = values.shape, grid.values.tolist()
 
-    def cells(n, rows):  # the values of ``rows`` window rows at scale n, at most all of them
-        return min(N1 - n + 1, rows) * (N2 - n + 1)
-
     def reach(n):  # the largest row shift of any theta at scale n
         return max(DetrendConfig2D(n, n, theta).shifts[0] for theta in thetas)
 
+    def height(n):  # the window rows of a strip at scale n
+        return min(N1 - n + 1, RECOMPUTE_EVERY)
+
     # one workspace for the pass, also big enough for the power means of the smallest scale
-    window = max(cells(n, reach(n) + RECOMPUTE_EVERY) + cells(n, RECOMPUTE_EVERY) for n in ns)
+    window = max((reach(n) + 2 * height(n)) * (N2 - n + 1) for n in ns)
     window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
-    strip = min(N1 - ns[0] + 1, RECOMPUTE_EVERY) * N2
+    strip = height(ns[0]) * N2
     # once a strip is formed, the first strip buffer takes every theta's new residual rows
     workspace = tuple(np.empty(size) for size in (window, strip, strip))
 
     def rms_at(n):
-        rows, cols, keep = N1 - n + 1, N2 - n + 1, reach(n)
-        lines = workspace[0][:window // cols * cols].reshape(-1, cols)
-        means_at = min(rows, keep + RECOMPUTE_EVERY)  # the line of a strip's first window mean
+        rows, cols, keep, span = N1 - n + 1, N2 - n + 1, reach(n), height(n)
+        flat = workspace[0]  # 1-d, so the overlapping move needs no copy
+        lines = flat[:window // cols * cols].reshape(-1, cols)
         cfgs = [DetrendConfig2D(n, n, theta) for theta in thetas]
-        low, parts, carries = 0, [[] for _ in cfgs], [[] for _ in cfgs]  # low: line 0's row
+        parts, carries = [[] for _ in cfgs], [[] for _ in cfgs]
         for start in range(0, rows, RECOMPUTE_EVERY):
             stop = min(start + RECOMPUTE_EVERY, rows)
-            if start - keep > low:  # the last ``keep`` rows of window sums move to the front
-                flat = workspace[0]  # 1-d, so the overlapping move needs no copy
-                flat[:keep * cols] = flat[(start - keep - low) * cols:(start - low) * cols]
-                low = start - keep
+            flat[:keep * cols] = flat[span * cols:(span + keep) * cols]
             window_aggregates(surface, DetrendConfig2D(n, n), rows=(start, stop),
-                              out=(lines[start - low:].reshape(-1), lines[means_at:].reshape(-1),
+                              out=(lines[keep:].reshape(-1), lines[keep + span:].reshape(-1),
                                    *workspace[1:]))
             for cfg, rms, carry in zip(cfgs, parts, carries):
                 d1, d2 = cfg.shifts
                 first, last = max(start - d1, 0), stop - d1  # the new residual rows
                 if last > first:
-                    aggregates = WindowAggregates2D(
-                        lines[first - low:stop - low],
-                        # its first d1 lines lie on window sums, which the residuals skip
-                        lines[means_at + first - start:means_at + stop - start], n, n)
+                    lo, hi = keep - start + first, keep - start + stop
+                    aggregates = WindowAggregates2D(lines[lo:hi], lines[lo + span:hi + span], n, n)
                     out = _take(workspace[1], (last - first, cols))[:, :cols - d2]
                     resid = residual_matrix_2d(aggregates, cfg, out=out)
                     rms.append(segment_rms_2d(resid, n, out=resid, carry=carry))

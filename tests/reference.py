@@ -155,32 +155,47 @@ def mfdfa_rms_2d(values, n: int) -> np.ndarray:
 # linear combination of the inputs, so E[F_2(n)^2], the mean squared residual, is
 # the sum of that combination's squared weights, exactly, at every n and theta.
 
-def white_noise_f2_mfdma_1d(n: int, theta: float) -> float:
-    """E[F_2(n)^2] of 1-d MFDMA at window size n and position theta on white noise.
+def white_noise_weights_mfdma_1d(n: int, theta: float) -> np.ndarray:
+    """The weights of 1-d MFDMA's residual eps(i) on the inputs, as coded.
 
     With b points behind i and f ahead, as in :func:`mfdma_rms_1d`, eps(i) =
     (1/n) sum_j (y(i) - y(j)) over the window, so the inputs x(i - b + 1) ..
     x(i) enter with weights 1/n .. b/n and x(i + 1) .. x(i + f) with
-    -f/n .. -1/n.  Closed form: [b(b+1)(2b+1) + f(f+1)(2f+1)] / (6 n^2).
+    -f/n .. -1/n; entry a of the result weighs x(i - b + 1 + a).
     """
     behind, ahead = math.ceil((n - 1) * (1 - theta)), math.floor((n - 1) * theta)
-    weights = np.concatenate([np.arange(1, behind + 1), -np.arange(ahead, 0, -1)]) / n
+    return np.concatenate([np.arange(1, behind + 1), -np.arange(ahead, 0, -1)]) / n
+
+
+def white_noise_weights_mfdfa_1d(n: int) -> np.ndarray:
+    """The weights of first-order 1-d MFDFA's residuals on one segment's inputs: (I - P) C.
+
+    C is the cumulative sum inside the segment (the profile's offset from
+    earlier segments is a constant, which the line takes up) and P projects
+    onto lines over positions 0..n-1; row u gives the residual at u.
+    """
+    line = np.column_stack([np.ones(n), np.arange(n)])
+    cumsum = np.tril(np.ones((n, n)))
+    return cumsum - line @ np.linalg.lstsq(line, cumsum, rcond=None)[0]
+
+
+def white_noise_f2_mfdma_1d(n: int, theta: float) -> float:
+    """E[F_2(n)^2] of 1-d MFDMA at window size n and position theta on white noise.
+
+    The squared norm of :func:`white_noise_weights_mfdma_1d`.  Closed form,
+    with b points behind and f ahead: [b(b+1)(2b+1) + f(f+1)(2f+1)] / (6 n^2).
+    """
+    weights = white_noise_weights_mfdma_1d(n, theta)
     return float(weights @ weights)
 
 
 def white_noise_f2_mfdfa_1d(n: int) -> float:
     """E[F_2(n)^2] of first-order 1-d MFDFA at segment size n on white noise.
 
-    A segment's residuals are (I - P) C x: C is the cumulative sum inside the
-    segment (the profile's offset from earlier segments is a constant, which
-    the line takes up) and P projects onto lines over positions 0..n-1.  The
-    weights are the rows of (I - P) C, so the mean squared residual is its
-    squared Frobenius norm over n.  Closed form: (n^2 - 4) / (15 n).
+    The mean squared residual is the squared Frobenius norm of
+    :func:`white_noise_weights_mfdfa_1d` over n.  Closed form: (n^2 - 4) / (15 n).
     """
-    line = np.column_stack([np.ones(n), np.arange(n)])
-    cumsum = np.tril(np.ones((n, n)))
-    weights = cumsum - line @ np.linalg.lstsq(line, cumsum, rcond=None)[0]
-    return float(np.sum(weights ** 2) / n)
+    return float(np.sum(white_noise_weights_mfdfa_1d(n) ** 2) / n)
 
 
 def white_noise_weights_mfdma_2d(n: int, theta: float) -> np.ndarray:
@@ -222,3 +237,51 @@ def white_noise_f2_mfdma_2d(n: int, theta: float) -> float:
 def white_noise_f2_mfdfa_2d(n: int) -> float:
     """E[F_2(n)^2] of 2-d MFDFA at block side n on white noise: ||(I - P) L||_F^2 / n^2."""
     return float(np.sum(white_noise_weights_mfdfa_2d(n) ** 2) / n ** 2)
+
+
+# The fractional Gaussian noise oracle.  For any stationary Gaussian input with
+# autocovariance gamma, the same weights give E[F_2(n)^2] exactly: w' Sigma w for
+# MFDMA and trace(W Sigma W') / n for MFDFA, with Sigma_ij = gamma(i - j).
+
+def fgn_autocovariance(lags, hurst: float) -> np.ndarray:
+    """gamma(k) = (|k+1|^2H - 2|k|^2H + |k-1|^2H) / 2 of unit-variance fGn; 1 at k = 0.
+
+    At H = 1/2 it is 1 at lag 0 and 0 elsewhere: white noise.
+    """
+    k, power = np.abs(np.asarray(lags, dtype=float)), 2 * hurst
+    return 0.5 * ((k + 1) ** power - 2 * k ** power + np.abs(k - 1) ** power)
+
+
+def fgn_covariance(size: int, hurst: float) -> np.ndarray:
+    """Sigma_ij = gamma(i - j) over ``size`` consecutive points of fGn."""
+    lags = np.arange(size)
+    return fgn_autocovariance(lags[:, None] - lags[None, :], hurst)
+
+
+def fractional_gaussian_noise(size: int, hurst: float, rng) -> np.ndarray:
+    """``size`` points of unit-variance fGn by Davies-Harte circulant embedding.
+
+    gamma(0 .. size), mirrored, is the first row of a circulant of order
+    2 size whose eigenvalues, the FFT of that row, are nonnegative for fGn at
+    every H in (0, 1).  The FFT of complex normals scaled by their square
+    roots then has real parts with covariance exactly gamma (Davies & Harte,
+    Biometrika 74, 95, 1987).
+    """
+    gamma = fgn_autocovariance(np.arange(size + 1), hurst)
+    row = np.concatenate([gamma, gamma[-2:0:-1]])
+    eigen = np.fft.fft(row).real
+    assert eigen.min() > -1e-9 * eigen.max(), "the embedding needs nonnegative eigenvalues"
+    normals = rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size)
+    return np.fft.fft(np.sqrt(eigen.clip(0) / row.size) * normals).real[:size]
+
+
+def fgn_f2_mfdma_1d(n: int, theta: float, hurst: float) -> float:
+    """E[F_2(n)^2] of 1-d MFDMA at window size n and position theta on fGn: w' Sigma w."""
+    weights = white_noise_weights_mfdma_1d(n, theta)
+    return float(weights @ fgn_covariance(weights.size, hurst) @ weights)
+
+
+def fgn_f2_mfdfa_1d(n: int, hurst: float) -> float:
+    """E[F_2(n)^2] of first-order 1-d MFDFA at segment size n on fGn: trace(W Sigma W') / n."""
+    weights = white_noise_weights_mfdfa_1d(n)
+    return float(np.trace(weights @ fgn_covariance(n, hurst) @ weights.T) / n)

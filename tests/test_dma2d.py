@@ -377,11 +377,18 @@ BANDED_SHAPE, BANDED_SCALES = (600, 530), build_scale_grid(2, 132, 12)
 
 
 # the largest shift need not come last; at scales up to 4 the pass's workspace
-# is sized by the power means of the smallest scale, not by its row window
-@pytest.mark.parametrize("scales", [BANDED_SCALES, [2, 3, 4]], ids=["to-cap", "small"])
+# is sized by the power means of the smallest scale, not by its row window; at
+# 100 x 90 every scale has fewer window rows than a strip, and at 200 x 180 the
+# 156 window rows of n = 45 are more than a strip but fewer than a strip plus 44
+@pytest.mark.parametrize(
+    "shape, scales",
+    [(BANDED_SHAPE, BANDED_SCALES), (BANDED_SHAPE, [2, 3, 4]),
+     ((100, 90), [2, 5, 11, 22]), ((200, 180), [2, 7, 20, 45])],
+    ids=["to-cap", "small", "under-a-strip", "under-a-strip-plus-shift"],
+)
 @pytest.mark.parametrize("thetas", [[0.0], [0.5], [1.0], THETAS, THETAS[::-1]], ids=str)
-def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, scales):
-    values = rng.standard_normal(BANDED_SHAPE)
+def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, shape, scales):
+    values = rng.standard_normal(shape)
     qs = build_q_grid(-4.0, 4.0, 0.5)
 
     def rms_at(n):

@@ -150,3 +150,43 @@ def test_white_noise_f2_has_its_exact_expectation_2d(theta):
     mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
     assert np.all(se < 0.02), se  # the 1-d shift rule moves F_2^2 by 15% or more at theta 0.5
     assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
+
+
+# the fGn oracle: the same seeds and bound as the white-noise one, at one H, on
+# correlated inputs whose exact F_2(n)^2 needs the covariance, not only the weights.
+# At n = 100 one seed's backward or forward F_2^2 spreads by 12% on fGn at H = 0.7
+# (300 seeds of 2^14 points), so 16 seeds need 2^16 points for a standard error
+# below 2%; at 2^14 it read 3.1%
+FGN_HURST = 0.7
+FGN_LENGTH = 2**16
+FGN_SCALES = [10, 25, 100]
+
+
+@functools.cache
+def fgn(seed):
+    return reference.fractional_gaussian_noise(FGN_LENGTH, FGN_HURST, np.random.default_rng(seed))
+
+
+def test_fgn_at_half_is_white_noise():
+    assert reference.fgn_autocovariance(np.arange(-3, 4), 0.5).tolist() == [0, 0, 0, 1, 0, 0, 0]
+    for n in FGN_SCALES:
+        for theta in THETAS:
+            assert (reference.fgn_f2_mfdma_1d(n, theta, 0.5)
+                    == pytest.approx(reference.white_noise_f2_mfdma_1d(n, theta), rel=1e-12))
+        assert (reference.fgn_f2_mfdfa_1d(n, 0.5)
+                == pytest.approx(reference.white_noise_f2_mfdfa_1d(n), rel=1e-12))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
+def test_fgn_f2_has_its_exact_expectation_1d(theta):
+    if theta is None:
+        estimate = functools.partial(mfdfa_fluctuations_1d, scales=FGN_SCALES, qs=[2.0])
+        exact = [reference.fgn_f2_mfdfa_1d(n, FGN_HURST) for n in FGN_SCALES]
+    else:
+        estimate = functools.partial(mfdma_fluctuations_1d, scales=FGN_SCALES, qs=[2.0],
+                                     theta=theta)
+        exact = [reference.fgn_f2_mfdma_1d(n, theta, FGN_HURST) for n in FGN_SCALES]
+    ratios = np.array([estimate(fgn(seed)).values[:, 0] ** 2 for seed in NOISE_SEEDS]) / exact
+    mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
+    assert np.all(se < 0.02), se
+    assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
