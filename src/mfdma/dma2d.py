@@ -92,12 +92,12 @@ def _row_sums(x: np.ndarray, n: int, S: np.ndarray, T: np.ndarray) -> None:
     whole-array ops in place, then carried down the rows by :func:`_carry`.
     """
     count = len(S)
-    S[0] = x[:n].sum(axis=0)
+    np.matmul(np.ones(n), x[:n], out=S[0])
     np.subtract(x[n:n + count - 1], x[:count - 1], out=S[1:])
     _carry(S)
     np.multiply(x[:count - 1], -float(n), out=T[1:])
     T[1:] += S[1:]
-    T[0] = np.arange(n, 0, -1, dtype=float) @ x[:n]
+    np.matmul(np.arange(n, 0, -1, dtype=float), x[:n], out=T[0])
     _carry(T)
 
 
@@ -107,31 +107,41 @@ def _carry(steps: np.ndarray) -> None:
         np.add(prev, row, out=row)
 
 
-def _column_sums(x: np.ndarray, n: int, ramp: bool, out: np.ndarray) -> None:
-    """Sliding flat sums along axis 1 or, with ``ramp``, descending-ramp sums, into ``out``.
+def _strip_sums(x: np.ndarray, n1: int, n2: int, s: np.ndarray, t: np.ndarray,
+                total: np.ndarray, cummean: np.ndarray) -> None:
+    """Flat window sums of one strip into ``total``, and its ramp sums into ``cummean``.
 
-    The steps, x[:, k+n-1] - x[:, k-1] and then for the ramp F[:, k] - n*x[:, k-1]
-    from the flat sums F, are formed in the output and carried along the C-contiguous
-    rows by one cumsum per chunk.  The ramp scales x by -n in place: pass a scratch array.
+    s and t hold one spare element, then the rows of S and T from :func:`_row_sums`.
+    Each step along the rows, S[:, k+n2-1] - S[:, k-1], then F[:, k] - n2*T[:, k-1]
+    for the ramp from the flat sums F of T, is one 1-d op over the whole strip; it
+    lands at (r, k) of the view that starts at the spare element.  Each chunk's first
+    column takes its exact first sum, a BLAS product, and one cumsum per chunk
+    carries the steps into the results.
     """
-    count = x.shape[1] - n + 1
-    starts = range(0, count, RECOMPUTE_EVERY)
-    np.subtract(x[:, n:], x[:, :count - 1], out=out[:, 1:])
-    _carry_columns(out, [x[:, k:k + n].sum(axis=1) for k in starts])
-    if ramp:
-        firsts = [x[:, k:k + n] @ np.arange(n, 0, -1, dtype=float) for k in starts]
-        steps = x[:, :count - 1]
-        steps *= -float(n)
-        out[:, 1:] += steps
-        _carry_columns(out, firsts)
+    (rows, count), width = total.shape, x.shape[1]
+    s, t = s[:rows * width + 1], t[:rows * width + 1]
+    S, T = s[1:].reshape(rows, width), t[1:].reshape(rows, width)
+    _row_sums(x, n1, S, T)
+    steps, flat, tflat = s[:-1].reshape(rows, width)[:, :count], s[1:], t[1:]
+    starts, ones = range(0, count, RECOMPUTE_EVERY), np.ones(n2)
+    firsts = [S[:, k:k + n2] @ ones for k in starts]
+    np.subtract(flat[n2:], flat[:-n2], out=flat[:-n2])  # reads ahead: no temporary
+    _scan(steps, firsts, total)
+    firsts, ramps = ([T[:, k:k + n2] @ w for k in starts]
+                     for w in (ones, np.arange(n2, 0, -1, dtype=float)))
+    np.subtract(tflat[n2:], tflat[:-n2], out=flat[:-n2])
+    _scan(steps, firsts, steps)
+    tflat *= -float(n2)
+    flat += tflat
+    _scan(steps, ramps, cummean)
 
 
-def _carry_columns(steps: np.ndarray, firsts: list) -> None:
-    """Column steps to running sums in place: a cumsum per chunk from its exact first column."""
+def _scan(steps: np.ndarray, firsts: list, out: np.ndarray) -> None:
+    """Column steps to running sums in ``out``: a cumsum per chunk from its exact first column."""
     for k, first in zip(range(0, steps.shape[1], RECOMPUTE_EVERY), firsts):
         block = steps[:, k:k + RECOMPUTE_EVERY]
         block[:, 0] = first
-        np.cumsum(block, axis=1, out=block)
+        np.cumsum(block, axis=1, out=out[:, k:k + RECOMPUTE_EVERY])
 
 
 def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> WindowAggregates2D:
@@ -143,10 +153,10 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     weight (n1 - a) * (n2 - b) at offset (a, b) inside the window.  The
     flat and ramp sums over n1 are rolled down one strip of RECOMPUTE_EVERY
     rows at a time, each from its exact first row, into two strip-sized
-    arrays; one pass along the rows of each writes the flat (total) and
-    ramp (cummean) sums over n2 straight into those rows of the results.
-    No pass copies or transposes the surface, and both refresh exactly
-    every RECOMPUTE_EVERY steps to bound drift.
+    buffers; the flat (total) and ramp (cummean) sums over n2 are stepped
+    along each strip by whole-strip ops and carried straight into those rows
+    of the results.  No pass copies or transposes the surface, and both
+    refresh exactly every RECOMPUTE_EVERY steps to bound drift.
 
     ``rows``, if given, is a (first, stop) pair of window rows, ``first`` a
     multiple of RECOMPUTE_EVERY: only those rows are formed, each bitwise
@@ -155,7 +165,11 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     ``out``, if given, holds four flat float buffers: ``total`` and
     ``cummean`` are views at the starts of the first two, each at least
     as long as the rows formed, and the strips are views into the other
-    two, each at least min(stop - first, RECOMPUTE_EVERY) * N2 long.
+    two, each at least min(stop - first, RECOMPUTE_EVERY) * N2 + 1 long:
+    one spare element before a strip's rows.  Nothing past those lengths
+    is written.  The strips are scratch: the lanes past each row's last
+    window end up holding differences and -n multiples of row sums, which
+    nothing reads.
     """
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
@@ -167,13 +181,11 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     if first % RECOMPUTE_EVERY or not 0 <= first < stop <= values.shape[0] - n1 + 1:
         raise ValidationError(f"window rows {first}:{stop} do not start a strip of the surface")
     shape = (stop - first, values.shape[1] - n2 + 1)
-    strip = (min(shape[0], RECOMPUTE_EVERY), values.shape[1])
+    strip = (min(shape[0], RECOMPUTE_EVERY) * values.shape[1] + 1,)
     total, cummean, flat, ramp = map(_take, out or (None,) * 4, (shape, shape, strip, strip))
     for start in range(0, shape[0], RECOMPUTE_EVERY):
-        S, T = flat[:shape[0] - start], ramp[:shape[0] - start]
-        _row_sums(values[first + start:], n1, S, T)
-        _column_sums(S, n2, False, total[start:start + len(S)])
-        _column_sums(T, n2, True, cummean[start:start + len(T)])
+        part = slice(start, start + RECOMPUTE_EVERY)
+        _strip_sums(values[first + start:], n1, n2, flat, ramp, total[part], cummean[part])
     cummean /= float(n1 * n2)
     return WindowAggregates2D(total=total, cummean=cummean, n1=n1, n2=n2)
 
@@ -247,7 +259,7 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     # one workspace for the pass, also big enough for the power means of the smallest scale
     window = max((reach(n) + 2 * height(n)) * (N2 - n + 1) for n in ns)
     window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
-    strip = height(ns[0]) * N2
+    strip = height(ns[0]) * N2 + 1
     # once a strip is formed, the first strip buffer takes every theta's new residual rows
     workspace = tuple(np.empty(size) for size in (window, strip, strip))
 

@@ -267,12 +267,31 @@ def fractional_gaussian_noise(size: int, hurst: float, rng) -> np.ndarray:
     roots then has real parts with covariance exactly gamma (Davies & Harte,
     Biometrika 74, 95, 1987).
     """
+    eigen = _embedding_eigenvalues(size, hurst)
+    normals = rng.standard_normal(eigen.size) + 1j * rng.standard_normal(eigen.size)
+    return np.fft.fft(np.sqrt(eigen / eigen.size) * normals).real[:size]
+
+
+def _embedding_eigenvalues(size: int, hurst: float) -> np.ndarray:
+    """The eigenvalues of the order-2 ``size`` circulant that embeds ``size`` points of fGn."""
     gamma = fgn_autocovariance(np.arange(size + 1), hurst)
-    row = np.concatenate([gamma, gamma[-2:0:-1]])
-    eigen = np.fft.fft(row).real
+    eigen = np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real
     assert eigen.min() > -1e-9 * eigen.max(), "the embedding needs nonnegative eigenvalues"
-    normals = rng.standard_normal(row.size) + 1j * rng.standard_normal(row.size)
-    return np.fft.fft(np.sqrt(eigen.clip(0) / row.size) * normals).real[:size]
+    return eigen.clip(0)
+
+
+def fractional_gaussian_field(shape, hurst: float, rng) -> np.ndarray:
+    """A surface of separable unit-variance fGn, covariance gamma(du) gamma(dv), by Davies-Harte.
+
+    The 2-d circulant of order (2 N1, 2 N2) that embeds the field has as its
+    eigenvalues the outer product of the two 1-d embeddings' ones, all
+    nonnegative, so the 2-d FFT of complex normals scaled by their square roots
+    has real parts with exactly that covariance, as in
+    :func:`fractional_gaussian_noise`.
+    """
+    eigen = np.outer(*(_embedding_eigenvalues(size, hurst) for size in shape))
+    normals = rng.standard_normal(eigen.shape) + 1j * rng.standard_normal(eigen.shape)
+    return np.fft.fft2(np.sqrt(eigen / eigen.size) * normals).real[:shape[0], :shape[1]]
 
 
 def fgn_f2_mfdma_1d(n: int, theta: float, hurst: float) -> float:
@@ -285,3 +304,24 @@ def fgn_f2_mfdfa_1d(n: int, hurst: float) -> float:
     """E[F_2(n)^2] of first-order 1-d MFDFA at segment size n on fGn: trace(W Sigma W') / n."""
     weights = white_noise_weights_mfdfa_1d(n)
     return float(np.trace(weights @ fgn_covariance(n, hurst) @ weights.T) / n)
+
+
+def fgn_f2_mfdma_2d(n: int, theta: float, hurst: float) -> float:
+    """E[F_2(n)^2] of 2-d MFDMA on the separable fGn field: trace(W' Sigma W Sigma).
+
+    W is :func:`white_noise_weights_mfdma_2d`; the residual sum_{a,b} W_ab x(j + (a, b))
+    has variance sum W_ab W_a'b' gamma(a - a') gamma(b - b').
+    """
+    weights = white_noise_weights_mfdma_2d(n, theta)
+    sigma = fgn_covariance(len(weights), hurst)
+    return float(np.trace(weights.T @ sigma @ weights @ sigma))
+
+
+def fgn_f2_mfdfa_2d(n: int, hurst: float) -> float:
+    """E[F_2(n)^2] of 2-d MFDFA on the separable fGn field: trace(M (Sigma x Sigma) M') / n^2.
+
+    M is :func:`white_noise_weights_mfdfa_2d`, on a block in row-major order, whose
+    covariance is the Kronecker product of the two axes' ones.
+    """
+    weights, sigma = white_noise_weights_mfdfa_2d(n), fgn_covariance(n, hurst)
+    return float(np.trace(weights @ np.kron(sigma, sigma) @ weights.T) / n ** 2)

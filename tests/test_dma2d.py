@@ -167,6 +167,33 @@ def test_window_aggregates_of_a_row_range_are_bitwise_those_rows_of_the_whole(rn
             window_aggregates(values, cfg, rows=rows)
 
 
+SENTINELS = 8
+
+
+# window columns N2 - n2 + 1 of one, a chunk short of full, full, one past full and two
+# chunks plus one; the last strip of window rows holds 1 or 127 rows
+@pytest.mark.parametrize("count", [1, 127, 128, 129, 257])
+@pytest.mark.parametrize("last", [1, 127])
+@pytest.mark.parametrize("rows", [None, "last-strip"])
+def test_window_aggregates_write_nothing_past_the_documented_out_sizes(rng, count, last, rows):
+    n1, n2 = 3, 4
+    height = RECOMPUTE_EVERY + last
+    values = rng.standard_normal((height + n1 - 1, count + n2 - 1))
+    cfg = DetrendConfig2D(n1, n2)
+    first, stop = (RECOMPUTE_EVERY, height) if rows else (0, height)
+    strip = min(stop - first, RECOMPUTE_EVERY) * values.shape[1] + 1
+    sizes = [(stop - first) * count] * 2 + [strip] * 2
+    # NaN everywhere: a read of anything the kernel did not write first shows in the results
+    out = [np.full(size + SENTINELS, np.nan) for size in sizes]
+    agg = window_aggregates(values, cfg, out=out, rows=rows and (first, stop))
+    for buffer, size in zip(out, sizes):
+        assert np.isnan(buffer[size:]).all()
+    fresh = window_aggregates(values, cfg, rows=rows and (first, stop))
+    assert agg.total.tobytes() == fresh.total.tobytes()
+    assert agg.cummean.tobytes() == fresh.cummean.tobytes()
+    assert np.shares_memory(agg.total, out[0]) and np.shares_memory(agg.cummean, out[1])
+
+
 def test_window_aggregates_reject_oversize_window():
     with pytest.raises(ValidationError):
         window_aggregates(np.zeros((4, 4)), DetrendConfig2D(5, 2))

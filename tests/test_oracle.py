@@ -175,6 +175,12 @@ def test_fgn_at_half_is_white_noise():
                     == pytest.approx(reference.white_noise_f2_mfdma_1d(n, theta), rel=1e-12))
         assert (reference.fgn_f2_mfdfa_1d(n, 0.5)
                 == pytest.approx(reference.white_noise_f2_mfdfa_1d(n), rel=1e-12))
+    for n in NOISE_SCALES_2D:
+        for theta in THETAS:
+            assert (reference.fgn_f2_mfdma_2d(n, theta, 0.5)
+                    == pytest.approx(reference.white_noise_f2_mfdma_2d(n, theta), rel=1e-12))
+        assert (reference.fgn_f2_mfdfa_2d(n, 0.5)
+                == pytest.approx(reference.white_noise_f2_mfdfa_2d(n), rel=1e-12))
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
@@ -187,6 +193,30 @@ def test_fgn_f2_has_its_exact_expectation_1d(theta):
                                      theta=theta)
         exact = [reference.fgn_f2_mfdma_1d(n, theta, FGN_HURST) for n in FGN_SCALES]
     ratios = np.array([estimate(fgn(seed)).values[:, 0] ** 2 for seed in NOISE_SEEDS]) / exact
+    mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
+    assert np.all(se < 0.02), se
+    assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
+
+
+# the 2-d half: a separable fGn field of NOISE_SIDE^2 points per seed, with the
+# white-noise oracle's seeds, scales and bounds
+@functools.cache
+def fgn_field(seed):
+    return reference.fractional_gaussian_field((NOISE_SIDE, NOISE_SIDE), FGN_HURST,
+                                               np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
+def test_fgn_f2_has_its_exact_expectation_2d(theta):
+    if theta is None:
+        estimate = functools.partial(mfdfa_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0])
+        exact = [reference.fgn_f2_mfdfa_2d(n, FGN_HURST) for n in NOISE_SCALES_2D]
+    else:
+        estimate = functools.partial(mfdma_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0],
+                                     theta=theta)
+        exact = [reference.fgn_f2_mfdma_2d(n, theta, FGN_HURST) for n in NOISE_SCALES_2D]
+    ratios = np.array([estimate(fgn_field(seed)).values[:, 0] ** 2
+                       for seed in NOISE_SEEDS]) / exact
     mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
     assert np.all(se < 0.02), se
     assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
