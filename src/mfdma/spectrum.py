@@ -188,22 +188,6 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     return QGrid(qs)
 
 
-def _ols_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Least-squares line fit; returns (slope, intercept, slope standard error).
-
-    The standard error is computed from the explicit residuals, so exact
-    linear data yields an SE at rounding-noise level rather than one
-    contaminated by a 1 - r**2 cancellation.
-    """
-    xc = x - x.mean()
-    sxx = float(np.dot(xc, xc))
-    slope = float(np.dot(xc, y)) / sxx
-    intercept = float(y.mean() - slope * x.mean())
-    resid = y - (intercept + slope * x)
-    se = float(np.sqrt(np.dot(resid, resid) / (x.size - 2) / sxx))  # _fit_mask keeps >= 3 points
-    return slope, intercept, se
-
-
 def _fit_mask(scales: ScaleGrid, fit_range) -> np.ndarray:
     """The scales inside ``fit_range``, inclusive; at least 3 must fall inside."""
     lo, hi = float(fit_range[0]), float(fit_range[1])
@@ -226,7 +210,13 @@ def _check_legendre_window(qs: QGrid, half_window: int):
 
 
 def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.0) -> ScalingEstimate:
-    """Fit ln F_q(n) against ln n per q and derive the mass exponents.
+    """Fit ln F_q(n) against ln n for every q at once and derive the mass exponents.
+
+    One centred least-squares fit over the whole log table: with x_c the
+    ln n of the fit range minus its mean, h = x_c' ln F / S_xx.  The
+    standard errors come from the explicit residuals, so an exact power law
+    gives an SE at rounding-noise level rather than one contaminated by a
+    1 - r**2 cancellation.
 
     Args:
         table: fluctuation functions over the (scale, q) grid.
@@ -252,13 +242,14 @@ def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.
         raise DegenerateDataError(
             f"non-positive fluctuation at n={n_bad:g}, q={q_bad:g}; cannot take logs"
         )
-    ln_n = np.log(ns[mask])
-    qs = table.qs.values
-    h = np.empty(qs.size)
-    se = np.empty(qs.size)
-    for j in range(qs.size):
-        h[j], _, se[j] = _ols_line(ln_n, np.log(sub[:, j]))
-    tau = qs * h - fractal_dim
+    ln_f = np.log(sub)
+    xc = np.log(ns[mask])
+    xc -= xc.mean()
+    sxx = float(xc @ xc)
+    h = xc @ ln_f / sxx
+    resid = (ln_f - ln_f.mean(axis=0)) - np.outer(xc, h)
+    se = np.sqrt(np.sum(resid * resid, axis=0) / (xc.size - 2) / sxx)  # _fit_mask keeps >= 3 scales
+    tau = table.qs.values * h - fractal_dim
     return ScalingEstimate(table.qs, h, se, tau, float(fractal_dim), (lo, hi))
 
 

@@ -44,6 +44,22 @@ def exact_window_mean(profile_values: np.ndarray, n: int) -> np.ndarray:
     return np.array([math.fsum(y[i:i + n]) / n for i in range(len(y) - n + 1)])
 
 
+def ols_slope_and_se(x, y) -> tuple[float, float]:
+    """Least-squares slope of y on x and its standard error, one line at a time.
+
+    slope = sum (x_i - mean x)(y_i - mean y) / S_xx, with S_xx = sum (x_i - mean x)^2,
+    and intercept = mean y - slope mean x.  The SE is taken from the explicit
+    residuals r_i = y_i - intercept - slope x_i: sqrt(sum r_i^2 / (k - 2) / S_xx).
+    """
+    x, y = [float(v) for v in x], [float(v) for v in y]
+    x_mean, y_mean = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    sxx = math.fsum((xi - x_mean) ** 2 for xi in x)
+    slope = math.fsum((xi - x_mean) * (yi - y_mean) for xi, yi in zip(x, y)) / sxx
+    intercept = y_mean - slope * x_mean
+    rss = math.fsum((yi - intercept - slope * xi) ** 2 for xi, yi in zip(x, y))
+    return slope, math.sqrt(rss / (len(x) - 2) / sxx)
+
+
 # Literal transcriptions of the documented estimator conventions, one window or
 # block at a time.  They share no code with the package beyond numpy.
 
@@ -149,6 +165,23 @@ def mfdfa_rms_2d(values, n: int) -> np.ndarray:
             fit = plane @ np.linalg.lstsq(plane, c, rcond=None)[0]
             rms.append(math.sqrt(np.mean((c - fit) ** 2)))
     return np.array(rms)
+
+
+# Input families for the boundary conventions.  Reversal keeps a cascade's
+# multifractal content: x[::-1] of the binomial cascade is the cascade with
+# p1 -> 1 - p1, whose exact tau is the same.  A boundary shift keeps all but k
+# points, so only where the segments start relative to the data changes.
+
+def mirrored_pair(values) -> tuple[np.ndarray, np.ndarray]:
+    """A series and its reversal, (x, x[::-1])."""
+    x = np.asarray(values, dtype=float)
+    return x, x[::-1]
+
+
+def boundary_shifts(values, k: int) -> list[np.ndarray]:
+    """The k + 1 cuts x[s : N - k + s], s = 0 ... k, each dropping s points first and k - s last."""
+    x = np.asarray(values, dtype=float)
+    return [x[s:x.size - k + s] for s in range(k + 1)]
 
 
 # The white-noise oracle.  On unit-variance white noise every residual is a fixed

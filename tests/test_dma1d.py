@@ -13,6 +13,7 @@ from mfdma import (
     DetrendConfig,
     Series,
     ValidationError,
+    analytic_tau_1d,
     binomial_measure_1d,
     build_q_grid,
     build_scale_grid,
@@ -32,6 +33,7 @@ from mfdma import dma1d
 from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
 from mfdma.pipeline import AnalysisConfig, _resolve_grids
 from mfdma.spectrum import as_scale_grid
+import reference
 from reference import exact_window_mean, scalar_power_mean, window_mean
 
 
@@ -670,12 +672,49 @@ def test_mfdfa_h2_on_binomial_measure(binomial_k14):
 
 
 def test_mfdfa_underestimates_positive_moments(binomial_k14):
-    from mfdma import analytic_tau_1d
-
     scales = build_scale_grid(10, 1000, 30)
     qs = np.arange(0.5, 4.01, 0.5)
     est = fit_scaling(mfdfa_fluctuations_1d(binomial_k14, scales, qs, order=1))
     assert np.all(est.tau - analytic_tau_1d(0.3, qs) < 0)
+
+
+def _sum_abs_dtau(values, p1):
+    """Sum of |tau - exact tau| of backward MFDMA and of MFDFA on the default grids."""
+    scales, qs, _, _ = _resolve_grids(AnalysisConfig(), values.shape)
+    assert len(qs) == 81
+    tau_exact = analytic_tau_1d(p1, qs.values)
+    return {
+        "backward": np.abs(fit_scaling(mfdma_fluctuations_1d(values, scales, qs, 0.0)).tau
+                           - tau_exact).sum(),
+        "mfdfa": np.abs(fit_scaling(mfdfa_fluctuations_1d(values, scales, qs, order=1)).tau
+                        - tau_exact).sum(),
+    }
+
+
+@pytest.fixture(scope="module")
+def binomial_p02_k16():
+    """Binomial cascade p1=0.2, 16 levels: the heaviest cells sit at the right end."""
+    return binomial_measure_1d(CascadeSpec1D(p1=0.2, levels=16)).values
+
+
+def test_cascade_accuracy_depends_on_its_orientation(binomial_p02_k16):
+    # The present one-end conventions (an N-point profile starting at x(1), the remainder
+    # dropped at the end) are not invariant under reversal, though x[::-1] is the cascade
+    # with p1 = 0.8 and has the same exact tau.  This records that; the gaps were 5.13
+    # (MFDFA, 8.71 against 3.58) and 2.35 (backward, 3.06 against 5.41) when measured.
+    x, mirrored = (_sum_abs_dtau(v, 0.2) for v in reference.mirrored_pair(binomial_p02_k16))
+    for estimator in ("backward", "mfdfa"):
+        assert abs(x[estimator] - mirrored[estimator]) > 1.0, estimator
+
+
+def test_cascade_accuracy_depends_on_a_few_boundary_points(binomial_p02_k16):
+    # Dropping 8 of 65536 points, s at the start and 8 - s at the end, moved backward
+    # within 1.69-6.71 and MFDFA within 6.70-14.35 when measured; the last point alone
+    # holds 0.8^16, about 2.8% of the mass.
+    sums = [_sum_abs_dtau(cut, 0.2) for cut in reference.boundary_shifts(binomial_p02_k16, 8)]
+    for estimator in ("backward", "mfdfa"):
+        spread = [s[estimator] for s in sums]
+        assert max(spread) - min(spread) > 1.0, estimator
 
 
 def _plain_dfa_h2(x, scales):

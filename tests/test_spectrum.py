@@ -22,6 +22,8 @@ from mfdma import (
     tau_error,
 )
 
+import reference
+
 LN2 = np.log(2.0)
 
 
@@ -91,10 +93,32 @@ def _table_from_law(scales, qs, law):
 
 
 def test_fit_scaling_recovers_exact_power_law():
-    table = _table_from_law([10, 18, 32, 56, 100], [2.0], lambda n, q: 2.0 * n**0.75)
+    # a slope and a prefactor that change with q, at every q of the default grid
+    qs = build_q_grid(-4.0, 4.0, 0.1).values
+    table = _table_from_law([10, 18, 32, 56, 100], qs,
+                            lambda n, q: (2.0 + q * q) * n ** (0.75 + 0.1 * q))
     est = fit_scaling(table)
-    assert abs(est.h[0] - 0.75) < 1e-13
-    assert est.h_se[0] < 1e-12
+    assert np.abs(est.h - (0.75 + 0.1 * qs)).max() < 1e-13
+    assert est.h_se.max() < 1e-12
+
+
+@pytest.mark.parametrize("fit_range", [None, (20, 400)], ids=["all-scales", "20-400"])
+@pytest.mark.parametrize("q_count", [1, 81, 801])
+def test_fit_scaling_matches_the_literal_per_q_fit(q_count, fit_range):
+    rng = np.random.default_rng(4100 + q_count)
+    scales = build_scale_grid(10, 1000, 30)
+    qs = np.linspace(-4.0, 4.0, q_count)
+    slopes = rng.uniform(0.2, 1.5, q_count)
+    noise = rng.lognormal(0.0, 0.3, (len(scales), q_count))
+    values = scales.values[:, None].astype(float) ** slopes * noise
+    est = fit_scaling(FluctuationTable(scales, QGrid(qs), values), fit_range=fit_range)
+    lo, hi = fit_range or (10, 1000)
+    keep = (scales.values >= lo) & (scales.values <= hi)
+    ln_n = np.log(scales.values[keep])
+    h, se = np.array([reference.ols_slope_and_se(ln_n, np.log(values[keep, j]))
+                      for j in range(q_count)]).T
+    assert np.abs(est.h - h).max() <= 1e-12
+    assert np.all(np.abs(est.h_se - se) <= 1e-9 * se)
 
 
 def test_fit_scaling_tau_at_zero_is_minus_dimension():
@@ -128,6 +152,19 @@ def test_fit_scaling_rejects_nonpositive_values():
     broken = FluctuationTable(table.scales, table.qs, table.values * [[1.0], [0.0], [1.0]])
     with pytest.raises(DegenerateDataError, match="n=8"):
         fit_scaling(broken)
+
+
+def test_fit_scaling_names_the_first_nonpositive_value_in_the_fit_range():
+    table = _table_from_law([4, 8, 16, 32, 64], [-2.0, -1.0, 0.0, 1.0, 2.0],
+                            lambda n, q: n ** (0.5 + 0.1 * q))
+    values = table.values.copy()
+    values[0, 0] = 0.0  # n=4 lies outside the fit range
+    values[3, 1] = 0.0
+    values[2, 4] = 0.0
+    values[2, 3] = -1.0  # n=16, q=1: the first in range by scale, then by q
+    broken = FluctuationTable(table.scales, table.qs, values)
+    with pytest.raises(DegenerateDataError, match=r"at n=16, q=1;"):
+        fit_scaling(broken, fit_range=(8, 64))
 
 
 # -------------------------------------------------------------- legendre
