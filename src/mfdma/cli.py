@@ -123,20 +123,16 @@ def _config(args, loaded: dict) -> AnalysisConfig:
 
 
 def cmd_generate(args) -> int:
-    out = Path(args.out)
     if args.kind == "binomial":
-        series = binomial_measure_1d(CascadeSpec1D(p1=args.p1, levels=args.levels))
-        write_series_csv(series, out)
-        print(f"wrote {series.name}: {len(series)} values to {out}")
+        data = binomial_measure_1d(CascadeSpec1D(p1=args.p1, levels=args.levels))
     elif args.kind == "cascade2d":
-        weights = _parse_weights(args.weights)
-        surface = cascade_measure_2d(CascadeSpec2D(weights=weights, levels=args.levels))
-        write_surface_csv(surface, out)
-        print(f"wrote {surface.name}: {surface.shape[0]}x{surface.shape[1]} to {out}")
+        data = cascade_measure_2d(CascadeSpec2D(_parse_weights(args.weights), args.levels))
     else:
-        series = gaussian_noise(args.length, args.seed)
-        write_series_csv(series, out)
-        print(f"wrote {series.name}: {len(series)} values to {out}")
+        data = gaussian_noise(args.length, args.seed)
+    out, series = Path(args.out), data.ndim == 1
+    (write_series_csv if series else write_surface_csv)(data, out)
+    size = f"{len(data)} values" if series else "{}x{}".format(*data.shape)
+    print(f"wrote {data.name}: {size} to {out}")
     return EXIT_OK
 
 
@@ -230,7 +226,7 @@ def cmd_compare(args) -> int:
         out_dir = Path(cfg.out_dir)
         for label, bundle in bundles.items():
             emit_results(bundle, out_dir / label.replace(".", "_"), cfg.out_format,
-                         tau_reference=tau_ref if cfg.out_format == "plot-data" else None)
+                         tau_reference=tau_ref)
         path = out_dir / "delta_tau.csv"
         taus = [b.estimate.tau for b in bundles.values()]
         header = ["q", "tau_analytic"]

@@ -161,6 +161,8 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     ``rows``, if given, is a (first, stop) pair of window rows, ``first`` a
     multiple of RECOMPUTE_EVERY: only those rows are formed, each bitwise
     as the whole-surface call forms it, and the results hold them alone.
+    A plain ndarray is checked in full on every call, so a strip-by-strip
+    caller passes a ``Surface`` (checked once), as ``_mfdma_tables_2d`` does.
 
     ``out``, if given, holds four flat float buffers: ``total`` and
     ``cummean`` are views at the starts of the first two, each at least

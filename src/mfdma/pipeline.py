@@ -276,35 +276,31 @@ def ingest_surface(path) -> Surface:
 _CSV_CHUNK = 4096  # values per piece: the whole file's text never exists at once
 
 
-def _series_csv(series: Series):
-    """The text of ``write_series_csv``, in pieces of at most ``_CSV_CHUNK`` lines."""
-    values = series.values
-    memo = {}
-    for start in range(0, values.size, _CSV_CHUNK):
-        yield "\n".join(_reprs(values[start:start + _CSV_CHUNK], memo)) + "\n"
+def _csv_pieces(values: np.ndarray):
+    """The CSV text of a 1-d array, one value per row, or of a 2-d array's rows.
+
+    Pieces of max(1, ``_CSV_CHUNK`` // width) rows share one :func:`_reprs` memo.
+    """
+    width = values.shape[1] if values.ndim == 2 else 1
+    step, memo = max(1, _CSV_CHUNK // width), {}
+    for start in range(0, len(values), step):
+        piece = _reprs(values[start:start + step], memo)
+        if width > 1:  # a width-1 row is its one text: no join per row
+            piece = [",".join(piece[i:i + width]) for i in range(0, len(piece), width)]
+        piece = "\n".join(piece) + "\n"  # so no list of texts outlives the yield
+        yield piece
 
 
 def write_series_csv(series: Series, path):
     """Write a series as single-column CSV with full float precision."""
     with open(path, "w") as handle:
-        handle.writelines(_series_csv(series))
-
-
-def _surface_csv(surface: Surface):
-    """The text of ``write_surface_csv``, in pieces of max(1, ``_CSV_CHUNK`` // width) rows."""
-    values = surface.values
-    width = values.shape[1]
-    step = max(1, _CSV_CHUNK // width)
-    memo = {}
-    for start in range(0, len(values), step):
-        texts = _reprs(values[start:start + step], memo)
-        yield "".join(",".join(texts[i:i + width]) + "\n" for i in range(0, len(texts), width))
+        handle.writelines(_csv_pieces(series.values))
 
 
 def write_surface_csv(surface: Surface, path):
     """Write a surface as comma-delimited rows with full float precision."""
     with open(path, "w") as handle:
-        handle.writelines(_surface_csv(surface))
+        handle.writelines(_csv_pieces(surface.values))
 
 
 def _sha256_file(path) -> str:
@@ -451,9 +447,7 @@ def json_text(doc) -> str:
 
 def csv_table(header, columns) -> str:
     """CSV text: the header line, then one row of full-precision floats per index."""
-    lines = [",".join(header)]
-    lines += map(",".join, zip(*map(_reprs, columns)))
-    return "\n".join(lines) + "\n"
+    return ",".join(header) + "\n" + "".join(_csv_pieces(np.array(columns, dtype=float).T))
 
 
 def _reprs(values, memo=None) -> list:

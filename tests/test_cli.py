@@ -71,6 +71,27 @@ def test_generate_noise_and_cascade2d(tmp_path):
     assert len(rows) == 16 and len(rows[0].split(",")) == 16
 
 
+# each input spans several writer pieces; the cascades share a memo across them
+@pytest.mark.parametrize("argv, data, wrote", [
+    (["binomial", "--p1", "0.3", "--levels", "13"],
+     lambda: binomial_measure_1d(CascadeSpec1D(0.3, 13)),
+     "binomial(p1=0.3, levels=13): 8192 values"),
+    (["cascade2d", "--weights", "0.1,0.2,0.3,0.4", "--levels", "7"],
+     lambda: mfdma.cascade_measure_2d(mfdma.CascadeSpec2D((0.1, 0.2, 0.3, 0.4), 7)),
+     "cascade2d(weights=(0.1, 0.2, 0.3, 0.4), levels=7): 128x128"),
+    (["noise", "--length", "5000", "--seed", "3"],
+     lambda: mfdma.gaussian_noise(5000, 3),
+     "gaussian(length=5000, seed=3): 5000 values"),
+], ids=["binomial", "cascade2d", "noise"])
+def test_generate_writes_one_repr_per_value(argv, data, wrote, tmp_path, capsys):
+    out = tmp_path / "gen.csv"
+    assert main(["generate", *argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {wrote} to {out}\n"
+    values = data().values
+    rows = values.reshape(len(values), -1).tolist()
+    assert out.read_text().split("\n") == [",".join(map(repr, row)) for row in rows] + [""]
+
+
 def test_analyze_surface_mode(tmp_path, capsys):
     surf = tmp_path / "surf.csv"
     main(["generate", "cascade2d", "--weights", "0.1,0.2,0.3,0.4", "--levels", "6", "--out", str(surf)])

@@ -411,16 +411,20 @@ def test_surface_csv_memo_spans_row_pieces(tmp_path):
     assert ingest_surface(path).values.tobytes() == values.tobytes()
 
 
-# columns as the emitters pass them: lists of ints, tuples, arrays; mostly repeated; empty
+# columns as the emitters pass them: lists of ints, tuples, arrays; mostly repeated; empty;
+# mostly repeated over several pieces, so the memo spans them; one column, no comma join
 @pytest.mark.parametrize("columns", [
     [[1, 2, 3], (0.5, -0.0, 0.0), np.array(REPR_EDGES[:3])],
     [np.resize(REPR_EDGES, 64), np.arange(64)],
     [[], []],
+    [np.resize(REPR_EDGES, 3000), np.resize([-0.0, 0.25], 3000), np.arange(3000) % 7],
+    [np.resize(REPR_EDGES + [0.1], 50)],
 ])
 def test_csv_table_is_one_repr_per_cell(columns):
     header = [f"c{i}" for i in range(len(columns))]
     rows = [",".join(repr(float(v)) for v in row) for row in zip(*columns)]
-    assert pipeline.csv_table(header, columns) == "\n".join([",".join(header)] + rows) + "\n"
+    expected = "\n".join([",".join(header)] + rows) + "\n"
+    assert_same_lines(pipeline.csv_table(header, columns), expected)
 
 
 def _traced_peak(call):
