@@ -43,7 +43,6 @@ from .pipeline import (
     json_text,
     run_pipeline,
     write_series_csv,
-    write_surface_csv,
 )
 from .spectrum import _binomial_weights, _check_weights, analytic_alpha, analytic_f, analytic_tau
 from .spectrum import build_q_grid, tau_error
@@ -129,9 +128,9 @@ def cmd_generate(args) -> int:
         data = cascade_measure_2d(CascadeSpec2D(_parse_weights(args.weights), args.levels))
     else:
         data = gaussian_noise(args.length, args.seed)
-    out, series = Path(args.out), data.ndim == 1
-    (write_series_csv if series else write_surface_csv)(data, out)
-    size = f"{len(data)} values" if series else "{}x{}".format(*data.shape)
+    out = Path(args.out)
+    write_series_csv(data, out)
+    size = f"{len(data)} values" if data.ndim == 1 else "{}x{}".format(*data.shape)
     print(f"wrote {data.name}: {size} to {out}")
     return EXIT_OK
 
@@ -266,22 +265,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("generate", help="write a synthetic measure or noise series")
+    gen.set_defaults(func=cmd_generate)
     gen_sub = gen.add_subparsers(dest="kind", required=True)
     g1 = gen_sub.add_parser("binomial", help="deterministic binomial cascade measure")
     g1.add_argument("--p1", type=float, required=True, help="left-child mass fraction in (0, 1)")
     g1.add_argument("--levels", type=int, required=True, help="cascade steps; length is 2^levels")
     g1.add_argument("--out", required=True)
-    g1.set_defaults(func=cmd_generate)
     g2 = gen_sub.add_parser("cascade2d", help="deterministic four-way square cascade")
     g2.add_argument("--weights", required=True, help="four comma-separated quadrant fractions")
     g2.add_argument("--levels", type=int, required=True, help="cascade steps; side is 2^levels")
     g2.add_argument("--out", required=True)
-    g2.set_defaults(func=cmd_generate)
     g3 = gen_sub.add_parser("noise", help="seeded standard normal series")
     g3.add_argument("--length", type=int, required=True)
     g3.add_argument("--seed", type=int, default=0)
     g3.add_argument("--out", required=True)
-    g3.set_defaults(func=cmd_generate)
 
     commands = (
         ("analyze", "analyze one series or surface", cmd_analyze),

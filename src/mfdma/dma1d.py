@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateSegmentError, ValidationError
 from .generators import Series, Surface
-from .spectrum import FluctuationTable, as_q_grid, as_scale_grid
+from .spectrum import FluctuationTable, _check_theta, _whole, as_q_grid, as_scale_grid
 
 __all__ = [
     "DetrendConfig",
@@ -32,12 +32,6 @@ __all__ = [
 ]
 
 
-def _check_theta(theta) -> None:
-    """Raise unless the window position parameter theta is in [0, 1]."""
-    if not 0.0 <= theta <= 1.0:
-        raise ValidationError(f"theta must lie in [0, 1], got {theta}")
-
-
 @dataclass(frozen=True)
 class DetrendConfig:
     """Window size n and position parameter theta.
@@ -50,10 +44,8 @@ class DetrendConfig:
     theta: float = 0.0
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 2:
-            raise ValidationError(f"window size must be an integer >= 2, got {self.n}")
+        object.__setattr__(self, "n", _whole("window size", self.n, 2))
         _check_theta(self.theta)
-        object.__setattr__(self, "n", int(self.n))
 
     @property
     def future_points(self) -> int:
@@ -203,8 +195,8 @@ def segment_rms(residuals: np.ndarray, n: int, *, out=None, carry=None) -> np.nd
     those of one call on all the rows.
     """
     eps = np.asarray(residuals, dtype=float)
-    n = int(n)
-    if n < 1 or n > min(eps.shape if carry is None else eps.shape[1:], default=0):
+    n = _whole("block side", n, 1)
+    if n > min(eps.shape if carry is None else eps.shape[1:], default=0):
         raise ValidationError(f"block side {n} invalid for residual shape {eps.shape}")
     blocks = eps.shape[-1] // n
     squares = np.square(eps, out=out)[..., :blocks * n]

@@ -16,10 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .spectrum import FluctuationTable
-from .dma1d import (
-    _as_values, _blocks, _check_theta, _fluctuation_tables, _take, _validate_scales,
-)
+from .spectrum import FluctuationTable, _check_theta, _whole
+from .dma1d import _as_values, _blocks, _fluctuation_tables, _take, _validate_scales
 from .generators import Surface
 # perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
 # power means run in dma1d._fluctuation_tables and are counted as dma1d.power_mean
@@ -54,12 +52,9 @@ class DetrendConfig2D:
     theta: float = 0.0
 
     def __post_init__(self):
-        for label, n in (("n1", self.n1), ("n2", self.n2)):
-            if int(n) != n or n < 2:
-                raise ValidationError(f"{label} must be an integer >= 2, got {n}")
+        for label in ("n1", "n2"):
+            object.__setattr__(self, label, _whole(label, getattr(self, label), 2))
         _check_theta(self.theta)
-        object.__setattr__(self, "n1", int(self.n1))
-        object.__setattr__(self, "n2", int(self.n2))
 
     @property
     def shifts(self) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .spectrum import _binomial_weights
+from .spectrum import _binomial_weights, _whole
 
 __all__ = [
     "Series",
@@ -74,12 +74,12 @@ class Surface(_Values):
         return self.values.shape
 
 
-def _check_levels(levels: int, cap: int) -> None:
-    """Raise unless a cascade's ``levels`` is a positive integer no deeper than ``cap``."""
-    if levels <= 0:
-        raise ValidationError(f"levels must be a positive integer, got {levels}")
+def _check_levels(levels: int, cap: int) -> int:
+    """A cascade's ``levels`` as an int; it must be a positive integer no deeper than ``cap``."""
+    levels = _whole("levels", levels, 1)
     if levels > cap:
         raise ValidationError(f"levels={levels} exceeds the memory guard of {cap}")
+    return levels
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class CascadeSpec1D:
 
     def __post_init__(self):
         _binomial_weights(self.p1)  # raises unless 0 < p1 < 1
-        _check_levels(self.levels, MAX_LEVELS_1D)
+        object.__setattr__(self, "levels", _check_levels(self.levels, MAX_LEVELS_1D))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,10 @@ class CascadeSpec2D:
     levels: int
 
     def __post_init__(self):
-        w = tuple(float(x) for x in self.weights)
+        try:
+            w = tuple(float(x) for x in self.weights)
+        except (TypeError, ValueError):
+            raise ValidationError(f"weights must be real numbers, got {self.weights!r}") from None
         if len(w) != 4:
             raise ValidationError(f"expected exactly four weights, got {len(w)}")
         # written so that a NaN weight fails both checks
@@ -128,7 +131,7 @@ class CascadeSpec2D:
             raise ValidationError(f"weights must be nonnegative, got {w}")
         if not abs(sum(w) - 1.0) <= 1e-12:
             raise ValidationError(f"weights must sum to 1 within 1e-12, got sum {sum(w)!r}")
-        _check_levels(self.levels, MAX_LEVELS_2D)
+        object.__setattr__(self, "levels", _check_levels(self.levels, MAX_LEVELS_2D))
         object.__setattr__(self, "weights", w)
 
 
@@ -163,15 +166,12 @@ def cascade_measure_2d(spec: CascadeSpec2D) -> Surface:
 
 def _seeded_rng(seed: int) -> np.random.Generator:
     """numpy's default generator seeded with ``seed``, a non-negative integer."""
-    if seed < 0:
-        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
-    return np.random.default_rng(seed)
+    return np.random.default_rng(_whole("seed", seed, 0))
 
 
 def gaussian_noise(length: int, seed: int) -> Series:
     """Draw i.i.d. standard normal noise; the same seed gives the same draw."""
-    if length < 16:
-        raise ValidationError(f"noise length must be at least 16, got {length}")
+    length = _whole("noise length", length, 16)
     rng = _seeded_rng(seed)
     return Series(rng.standard_normal(length), name=f"gaussian(length={length}, seed={seed})")
 

@@ -21,9 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .dma1d import (
-    _as_values, _check_theta, _mfdma_tables_1d, _validate_scales, mfdfa_fluctuations_1d,
-)
+from .dma1d import _as_values, _mfdma_tables_1d, _validate_scales, mfdfa_fluctuations_1d
 from .dma2d import _mfdma_tables_2d, mfdfa_fluctuations_2d
 # perfbench/tracing.py hooks these names, though analyze_all runs the MFDMA tables directly
 from .dma1d import mfdma_fluctuations_1d  # noqa: F401
@@ -37,6 +35,7 @@ from .spectrum import (
     ScalingEstimate,
     SingularitySpectrum,
     _check_legendre_window,
+    _check_theta,
     _fit_mask,
     build_q_grid,
     build_scale_grid,
@@ -291,16 +290,13 @@ def _csv_pieces(values: np.ndarray):
         yield piece
 
 
-def write_series_csv(series: Series, path):
-    """Write a series as single-column CSV with full float precision."""
+def write_series_csv(data: Series | Surface, path):
+    """Write a series as one CSV column, or a surface as CSV rows, in full float precision."""
     with open(path, "w") as handle:
-        handle.writelines(_csv_pieces(series.values))
+        handle.writelines(_csv_pieces(data.values))
 
 
-def write_surface_csv(surface: Surface, path):
-    """Write a surface as comma-delimited rows with full float precision."""
-    with open(path, "w") as handle:
-        handle.writelines(_csv_pieces(surface.values))
+write_surface_csv = write_series_csv
 
 
 def _sha256_file(path) -> str:

@@ -9,6 +9,7 @@ and by the ``oracle`` CLI subcommand.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,22 @@ __all__ = [
 ]
 
 LN2 = np.log(2.0)
+
+
+def _whole(label: str, value, minimum: int) -> int:
+    """``value`` as an int: a finite whole real number, not a bool, of at least ``minimum``."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole or value < minimum:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(minimum)
+        raise ValidationError(f"{label} must be {kind or f'an integer >= {minimum}'}, got {value}")
+    return int(value)
+
+
+def _check_theta(theta) -> None:
+    """Raise unless the window position parameter theta is a real number in [0, 1]."""
+    if not (isinstance(theta, numbers.Real) and 0.0 <= theta <= 1.0):
+        raise ValidationError(f"theta must lie in [0, 1], got {theta}")
 
 
 @dataclass(frozen=True)
@@ -154,10 +171,9 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
         raise ValidationError(f"need n_min < n_max, got ({n_min}, {n_max})")
     if not n_max < 2**53:  # float64 holds every integer below it, so the scales round exactly
         raise ValidationError(f"n_max must be below 2**53, got {n_max}")
-    if count < 2:
-        raise ValidationError(f"count must be at least 2, got {count}")
     if not count < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array
         raise ValidationError(f"scale count {count} is more than numpy can index")
+    count = _whole("count", count, 2)
     raw = np.logspace(np.log10(n_min), np.log10(n_max), count)
     # round half away from zero, so grids match across platforms
     ns = np.floor(raw + 0.5).astype(int)
@@ -199,14 +215,14 @@ def _fit_mask(scales: ScaleGrid, fit_range) -> np.ndarray:
     return mask
 
 
-def _check_legendre_window(qs: QGrid, half_window: int):
-    """The local tau(q) slope needs 2 * half_window + 1 points of the q grid."""
-    if half_window < 1:
-        raise ValidationError(f"legendre half-window must be at least 1, got {half_window}")
+def _check_legendre_window(qs: QGrid, half_window: int) -> int:
+    """``half_window`` as an int; the local tau(q) slope needs 2 * half_window + 1 q points."""
+    half_window = _whole("legendre half-window", half_window, 1)
     if len(qs) < 2 * half_window + 1:
         raise ValidationError(
             f"need at least {2 * half_window + 1} q points for half_window={half_window}"
         )
+    return half_window
 
 
 def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.0) -> ScalingEstimate:
@@ -260,7 +276,7 @@ def legendre_spectrum(est: ScalingEstimate, half_window: int = 3) -> Singularity
     the 2 * half_window + 1 surrounding (q, tau) points; f = q * alpha - tau
     at the same points.  Requires a uniformly spaced q grid.
     """
-    _check_legendre_window(est.qs, half_window)
+    half_window = _check_legendre_window(est.qs, half_window)
     qs = est.qs.values
     dq = est.qs.spacing  # raises on non-uniform grids
     offsets = np.arange(-half_window, half_window + 1, dtype=float) * dq
@@ -325,7 +341,7 @@ def analytic_f(weights, q) -> np.ndarray | float:
 
 def _binomial_weights(p1: float) -> tuple[float, float]:
     """The weights (p1, 1 - p1) of the binomial cascade."""
-    if not 0.0 < p1 < 1.0:
+    if not (isinstance(p1, numbers.Real) and 0.0 < p1 < 1.0):
         raise ValidationError(f"p1 must lie strictly inside (0, 1), got {p1}")
     return p1, 1.0 - p1
 

@@ -212,6 +212,33 @@ def white_noise_weights_mfdfa_1d(n: int) -> np.ndarray:
     return cumsum - line @ np.linalg.lstsq(line, cumsum, rcond=None)[0]
 
 
+def white_noise_segment_weights_mfdma_1d(n: int, theta: float) -> np.ndarray:
+    """The weights of one segment's n MFDMA residuals on its inputs.
+
+    Row u is :func:`white_noise_weights_mfdma_1d` shifted u places along, so
+    column a weighs the input a places after the first one residual 0 reads.
+    """
+    window = white_noise_weights_mfdma_1d(n, theta)
+    rows = np.zeros((n, n + window.size - 1))
+    for u in range(n):
+        rows[u, u:u + window.size] = window
+    return rows
+
+
+def white_noise_moment_1d(weights: np.ndarray, q: float) -> float:
+    """E[F_v(n)^q] on white noise, q 2 or 4, of a segment whose n residuals are ``weights`` @ x.
+
+    F_v^2 = x'Mx with M = W'W / n, a quadratic form in i.i.d. unit normals,
+    so E[F_v^2] = tr M and E[F_v^4] = (tr M)^2 + 2 tr(M^2).  F_q(n)^q is the
+    mean of F_v^q over the segments, so it has this expectation at every N.
+    """
+    m = weights.T @ weights / len(weights)
+    if q == 2:
+        return float(np.trace(m))
+    assert q == 4, q
+    return float(np.trace(m) ** 2 + 2 * np.sum(m * m))  # M is symmetric: tr(M^2) = sum M_ij^2
+
+
 def white_noise_f2_mfdma_1d(n: int, theta: float) -> float:
     """E[F_2(n)^2] of 1-d MFDMA at window size n and position theta on white noise.
 

@@ -1,0 +1,78 @@
+"""The rules the library's arguments follow: counts are whole numbers, parameters real ones."""
+import re
+
+import numpy as np
+import pytest
+
+from mfdma import (
+    CascadeSpec1D,
+    CascadeSpec2D,
+    DetrendConfig,
+    DetrendConfig2D,
+    FluctuationTable,
+    QGrid,
+    ScaleGrid,
+    Series,
+    ValidationError,
+    build_scale_grid,
+    fit_scaling,
+    gaussian_noise,
+    legendre_spectrum,
+    segment_rms,
+    shuffle_surrogate,
+)
+
+WEIGHTS = (0.1, 0.2, 0.3, 0.4)
+SCALES, QS = np.array([10, 20, 40]), np.linspace(-1.0, 1.0, 11)
+ESTIMATE = fit_scaling(FluctuationTable(ScaleGrid(SCALES), QGrid(QS),
+                                        np.sqrt(np.outer(SCALES, np.ones(QS.size)))))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: DetrendConfig(float("nan")), "window size must be an integer >= 2, got nan"),
+    (lambda: DetrendConfig(float("inf")), "window size must be an integer >= 2, got inf"),
+    (lambda: DetrendConfig(1), "window size must be an integer >= 2, got 1"),
+    (lambda: DetrendConfig2D(float("inf"), 3), "n1 must be an integer >= 2, got inf"),
+    (lambda: DetrendConfig2D(3, 2.5), "n2 must be an integer >= 2, got 2.5"),
+    (lambda: segment_rms(np.ones(10), 2.5), "block side must be a positive integer, got 2.5"),
+    (lambda: CascadeSpec1D(0.3, 2.5), "levels must be a positive integer, got 2.5"),
+    (lambda: CascadeSpec1D(0.3, True), "levels must be a positive integer, got True"),
+    (lambda: CascadeSpec1D(0.3, float("inf")), "levels must be a positive integer, got inf"),
+    (lambda: CascadeSpec2D(WEIGHTS, 2.5), "levels must be a positive integer, got 2.5"),
+    (lambda: gaussian_noise(20.5, 1), "noise length must be an integer >= 16, got 20.5"),
+    (lambda: shuffle_surrogate(Series(np.arange(5.0)), 1.5),
+     "seed must be a non-negative integer, got 1.5"),
+    (lambda: legendre_spectrum(ESTIMATE, 1.5),
+     "legendre half-window must be a positive integer, got 1.5"),
+    (lambda: build_scale_grid(10, 100, 2.5), "count must be an integer >= 2, got 2.5"),
+], ids=["window-nan", "window-inf", "window-1", "n1-inf", "n2-fraction", "block-side-fraction",
+        "levels-1d-fraction", "levels-1d-bool", "levels-1d-inf", "levels-2d-fraction",
+        "noise-length-fraction", "seed-fraction", "half-window-fraction", "count-fraction"])
+def test_a_count_that_is_not_a_whole_number_is_a_validation_error(call, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_a_whole_float_or_a_numpy_integer_count_is_taken_as_an_int():
+    assert DetrendConfig(4.0).n == 4 and type(DetrendConfig(4.0).n) is int
+    cfg = DetrendConfig2D(np.int64(4), 5.0)
+    assert (cfg.n1, cfg.n2) == (4, 5) and type(cfg.n1) is type(cfg.n2) is int
+    assert CascadeSpec2D(WEIGHTS, 3.0).levels == 3
+    np.testing.assert_array_equal(gaussian_noise(16, np.int64(3)).values,
+                                  gaussian_noise(16, 3).values)
+    assert legendre_spectrum(ESTIMATE, 2.0).qs.size == QS.size - 4
+
+
+def test_a_non_number_where_a_real_number_goes_is_a_validation_error():
+    calls = [
+        lambda: DetrendConfig(4, "0.5"),  # theta, a TypeError from its comparison
+        lambda: DetrendConfig2D(4, 4, None),
+        lambda: CascadeSpec1D("0.3", 4),  # p1, the same
+        lambda: CascadeSpec2D(((0.1, 0.2), (0.3, 0.4)), 3),  # a TypeError from float
+        lambda: CascadeSpec2D(("a", 0.2, 0.3, 0.5), 3),  # a ValueError from float
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError):
+            call()
+    # a weight given as the text of a number still reads as that number
+    assert CascadeSpec2D(tuple(map(str, WEIGHTS)), 3).weights == WEIGHTS

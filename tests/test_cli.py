@@ -110,6 +110,28 @@ def test_exit_code_validation_error(measure_file, capsys):
     assert "N/4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["analyze", "surrogate", "compare"])
+def test_an_analysis_without_input_is_a_validation_error(command, capsys):
+    argv = [command] + (["--analytic-p1", "0.3"] if command == "compare" else [])
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {command} needs --input\n"
+
+
+@pytest.mark.parametrize("name, text, code, message", [
+    ("missing.json", None, 4, "input error: cannot read config file: "),
+    ("list.json", "[1, 2]", 2, "error: config file list.json must hold a JSON object\n"),
+], ids=["unreadable", "not-an-object"])
+def test_a_config_file_that_cannot_be_read_or_holds_no_object_is_refused(
+    name, text, code, message, measure_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    if text is not None:
+        Path(name).write_text(text)
+    assert main(["analyze", "--input", str(measure_file), "--config", name]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+
+
 def test_exit_code_degenerate_data(tmp_path, capsys):
     zeros = tmp_path / "zeros.csv"
     zeros.write_text("0.0\n" * 256)
@@ -349,9 +371,13 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
          "compare runs every method and theta, so --theta is not taken"),
         ("series", ["--analytic-p1", "0.3", "--method", "mfdfa"],
          "compare runs every method and theta, so --method is not taken"),
+        ("surface", ["--analytic-weights", "a,0.2,0.3,0.5"],
+         "weights must be comma-separated numbers, got 'a,0.2,0.3,0.5'"),
+        ("surface", ["--analytic-weights", "0.1,0.2,0.7"],
+         "expected four comma-separated weights, got 3"),
     ],
     ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface", "tau-overflow-on-surface",
-         "theta-flag", "method-flag"],
+         "theta-flag", "method-flag", "weight-not-a-number", "three-weights"],
 )
 def test_compare_rejects_a_bad_reference_before_reading(
     mode, reference, message, measure_file, tmp_path, monkeypatch, capsys

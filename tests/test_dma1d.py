@@ -215,6 +215,15 @@ def test_segment_rms_rejects_oversize_blocks():
         segment_rms(np.ones(3), 4)
 
 
+@pytest.mark.parametrize("values, message", [
+    ([], "must be a non-empty 1-d array"), ([[1.0]], "must be a non-empty 1-d array"),
+    ([1.0, -0.5], "cannot be negative"),
+], ids=["empty", "2-d", "negative"])
+def test_segment_fluctuations_are_a_non_empty_row_of_non_negative_values(values, message):
+    with pytest.raises(ValidationError, match=message):
+        SegmentFluctuations(np.array(values), scale=4)
+
+
 # ------------------------------------------------- overall fluctuation
 
 def test_overall_fluctuation_hand_values():

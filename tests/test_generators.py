@@ -102,6 +102,12 @@ def test_zero_weight_convention():
             analytic_tau(weights, 2.0)
 
 
+@pytest.mark.parametrize("weights", [(0.25,) * 3, (0.2,) * 5], ids=["three", "five"])
+def test_cascade2d_takes_exactly_four_weights(weights):
+    with pytest.raises(ValidationError, match=f"expected exactly four weights, got {len(weights)}"):
+        CascadeSpec2D(weights=weights, levels=2)
+
+
 def test_cascade2d_rejects_a_nan_weight():
     # NaN fails every comparison, so it must not pass a check that asks for a failing one
     with pytest.raises(ValidationError, match="nonnegative"):

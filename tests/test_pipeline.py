@@ -259,6 +259,15 @@ def test_numpy_reader_agrees_with_the_python_reader(text, scratch_csv):
         assert fast == slow
 
 
+def test_series_and_surfaces_have_one_writer():
+    assert write_surface_csv is write_series_csv
+
+
+def test_ingest_input_needs_an_input_path():
+    with pytest.raises(ValidationError, match="^config has no input path$"):
+        pipeline.ingest_input(AnalysisConfig())
+
+
 def _write_cascades(tmp_path):
     """A binomial series and a cascade surface as written, and the variants of their text."""
     series = binomial_measure_1d(CascadeSpec1D(p1=0.3, levels=8))

@@ -75,13 +75,38 @@ def test_build_q_grid_rejects_non_finite_parameters(q_min, q_max, q_step, match)
         build_q_grid(q_min, q_max, q_step)
 
 
+@pytest.mark.parametrize(
+    "q_min, q_max, q_step, match",
+    [(-4.0, 4.0, 0.0, "q_step must be positive"), (-4.0, 4.0, -0.1, "q_step must be positive"),
+     (4.0, 4.0, 0.1, "need q_min < q_max"), (4.0, -4.0, 0.1, "need q_min < q_max"),
+     (-4.0, 4.0, 0.3, "is not an integer number of steps")],
+    ids=["zero-step", "negative-step", "empty-range", "reversed-range", "step-not-dividing"],
+)
+def test_build_q_grid_rejects_a_step_or_range_that_gives_no_grid(q_min, q_max, q_step, match):
+    with pytest.raises(ValidationError, match=match):
+        build_q_grid(q_min, q_max, q_step)
+
+
 def test_scale_grid_validation():
     with pytest.raises(ValidationError):
         ScaleGrid(np.array([2, 2, 3]))
     with pytest.raises(ValidationError):
         ScaleGrid(np.array([5, 3]))
+    for values, match in [([10.5], "scales must be integers"), ([], "non-empty"),
+                          ([1, 4], "scales must be at least 2, got 1")]:
+        with pytest.raises(ValidationError, match=match):
+            ScaleGrid(np.array(values))
+    whole = ScaleGrid(np.array([10.0, 20.0])).values
+    assert whole.tolist() == [10, 20] and np.issubdtype(whole.dtype, np.integer)
     with pytest.raises(ValidationError):
         QGrid(np.array([0.0, 0.0]))
+    for values, match in [([], "non-empty"), ([0.0, np.inf], "q values must be finite"),
+                          ([np.nan, 1.0], "q values must be finite")]:
+        with pytest.raises(ValidationError, match=match):
+            QGrid(np.array(values))
+    with pytest.raises(ValidationError, match=r"shape \(3, 2\), expected \(2, 3\)"):
+        FluctuationTable(ScaleGrid(np.array([4, 8])), QGrid(np.array([1.0, 2.0, 3.0])),
+                         np.ones((3, 2)))
 
 
 # ------------------------------------------------------------------ fits
