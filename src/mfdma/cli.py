@@ -77,20 +77,19 @@ def _print_scaling_summary(bundle, label=None):
     print(f"spectrum width: {bundle.spectrum.width:.4f}")
 
 
-def _parse_weights(text: str):
-    parts = [p for p in text.replace(" ", "").split(",") if p]
+def _parse_weights(text: str) -> tuple[float, ...]:
+    """The comma-separated numbers of a weights option as floats; ``_check_weights`` checks them."""
     try:
-        weights = tuple(float(p) for p in parts)
+        return tuple(float(p) for p in text.replace(" ", "").split(",") if p)
     except ValueError:
         raise ValidationError(f"weights must be comma-separated numbers, got {text!r}")
-    if len(weights) != 4:
-        raise ValidationError(f"expected four comma-separated weights, got {len(weights)}")
-    return weights
 
 
 def _cascade_weights(p1, weights_text):
-    """The checked weights of the cascade named by a p1 (binomial) or a weights option (square)."""
-    return _check_weights(_parse_weights(weights_text) if p1 is None else _binomial_weights(p1))
+    """The checked weights of the cascade named by a p1 (binomial) or four weights (square)."""
+    if p1 is None:
+        return _check_weights(_parse_weights(weights_text), (4,))
+    return _binomial_weights(p1)
 
 
 # the analysis flags are the AnalysisConfig fields: --field-name, except these

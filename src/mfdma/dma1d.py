@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateSegmentError, ValidationError
 from .generators import Series, Surface
-from .spectrum import FluctuationTable, _check_theta, _whole, as_q_grid, as_scale_grid
+from .spectrum import FluctuationTable, _real, _whole, as_q_grid, as_scale_grid
 
 __all__ = [
     "DetrendConfig",
@@ -45,7 +45,7 @@ class DetrendConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _whole("window size", self.n, 2))
-        _check_theta(self.theta)
+        _real("theta", self.theta, 0, 1)
 
     @property
     def future_points(self) -> int:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .spectrum import FluctuationTable, _check_theta, _whole
+from .spectrum import FluctuationTable, _real, _whole
 from .dma1d import _as_values, _blocks, _fluctuation_tables, _take, _validate_scales
 from .generators import Surface
 # perfbench/tracing.py hooks this name, but the 2-d estimators never call it: their
@@ -54,7 +54,7 @@ class DetrendConfig2D:
     def __post_init__(self):
         for label in ("n1", "n2"):
             object.__setattr__(self, label, _whole(label, getattr(self, label), 2))
-        _check_theta(self.theta)
+        _real("theta", self.theta, 0, 1)
 
     @property
     def shifts(self) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .spectrum import _binomial_weights, _whole
+from .spectrum import _binomial_weights, _check_weights, _whole
 
 __all__ = [
     "Series",
@@ -120,19 +120,8 @@ class CascadeSpec2D:
     levels: int
 
     def __post_init__(self):
-        try:
-            w = tuple(float(x) for x in self.weights)
-        except (TypeError, ValueError):
-            raise ValidationError(f"weights must be real numbers, got {self.weights!r}") from None
-        if len(w) != 4:
-            raise ValidationError(f"expected exactly four weights, got {len(w)}")
-        # written so that a NaN weight fails both checks
-        if not all(x >= 0 for x in w):
-            raise ValidationError(f"weights must be nonnegative, got {w}")
-        if not abs(sum(w) - 1.0) <= 1e-12:
-            raise ValidationError(f"weights must sum to 1 within 1e-12, got sum {sum(w)!r}")
+        object.__setattr__(self, "weights", _check_weights(self.weights, (4,), zero_ok=True))
         object.__setattr__(self, "levels", _check_levels(self.levels, MAX_LEVELS_2D))
-        object.__setattr__(self, "weights", w)
 
 
 def _cascade(split: np.ndarray, levels: int) -> np.ndarray:

@@ -35,8 +35,8 @@ from .spectrum import (
     ScalingEstimate,
     SingularitySpectrum,
     _check_legendre_window,
-    _check_theta,
     _fit_mask,
+    _real,
     build_q_grid,
     build_scale_grid,
     fit_scaling,
@@ -101,7 +101,10 @@ class AnalysisConfig:
                 raise ValidationError(
                     f"{label} must be one of {allowed}, got {getattr(self, name)!r}"
                 )
-        _check_theta(self.theta)
+        _real("theta", self.theta, 0, 1)
+        for name in ("fit_lo", "fit_hi"):
+            if getattr(self, name) is not None and not abs(getattr(self, name)) < math.inf:
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         # grid parameters are validated for real when the grids are built
         qs = build_q_grid(self.q_min, self.q_max, self.q_step)
         _check_legendre_window(qs, self.legendre_half_window)
@@ -322,11 +325,8 @@ def _resolve_grids(cfg: AnalysisConfig, data_shape) -> tuple[ScaleGrid, QGrid, t
             f"scales (n_min, n_max, n_count) = ({n_min}, {n_max}, {n_count}) give "
             f"{len(scales)} distinct scales, need at least 3"
         )
-    fit_range = (
-        float(scales.values[0]) if cfg.fit_lo is None else cfg.fit_lo,
-        float(scales.values[-1]) if cfg.fit_hi is None else cfg.fit_hi,
-    )
-    _fit_mask(scales, fit_range)
+    _, fit_range = _fit_mask(scales, (scales.values[0] if cfg.fit_lo is None else cfg.fit_lo,
+                                      scales.values[-1] if cfg.fit_hi is None else cfg.fit_hi))
     qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step)
     resolved = {"n_min": int(n_min), "n_max": int(n_max), "n_count": int(n_count)}
     return scales, qs, fit_range, resolved

@@ -49,10 +49,14 @@ def _whole(label: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _check_theta(theta) -> None:
-    """Raise unless the window position parameter theta is a real number in [0, 1]."""
-    if not (isinstance(theta, numbers.Real) and 0.0 <= theta <= 1.0):
-        raise ValidationError(f"theta must lie in [0, 1], got {theta}")
+def _real(label: str, value, low=None, high=None, strict: bool = False):
+    """``value`` unchanged: a real number, not a bool, in [low, high], or (low, high) if ``strict``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{label} must be a real number, got {value!r}")
+    if low is not None and not (low < value < high if strict else low <= value <= high):
+        interval = f"strictly inside ({low}, {high})" if strict else f"in [{low}, {high}]"
+        raise ValidationError(f"{label} must lie {interval}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -165,6 +169,8 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
         n_max: largest scale, strictly greater than n_min and below 2**53.
         count: number of log-spaced points before rounding, at least 2.
     """
+    for label, value in (("n_min", n_min), ("n_max", n_max), ("count", count)):
+        _real(label, value)
     if n_min < 2:
         raise ValidationError(f"n_min must be at least 2, got {n_min}")
     if n_max <= n_min:
@@ -182,6 +188,8 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     """Uniform q grid from q_min to q_max inclusive; snaps tiny values to 0."""
+    for label, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
+        _real(label, value)
     if not np.all(np.isfinite([q_min, q_max, q_step])):
         raise ValidationError(
             f"q_min, q_max and q_step must be finite, got ({q_min}, {q_max}, {q_step})"
@@ -204,15 +212,15 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     return QGrid(qs)
 
 
-def _fit_mask(scales: ScaleGrid, fit_range) -> np.ndarray:
-    """The scales inside ``fit_range``, inclusive; at least 3 must fall inside."""
-    lo, hi = float(fit_range[0]), float(fit_range[1])
+def _fit_mask(scales: ScaleGrid, fit_range) -> tuple[np.ndarray, tuple[float, float]]:
+    """The scales inside ``fit_range``, inclusive, and its ends as floats; at least 3 fall inside."""
+    lo, hi = (float(_real(label, end)) for label, end in zip(("fit_lo", "fit_hi"), fit_range))
     mask = (scales.values >= lo) & (scales.values <= hi)
     if int(mask.sum()) < 3:
         raise ValidationError(
             f"fit range ({lo:g}, {hi:g}) selects {int(mask.sum())} scales, need at least 3"
         )
-    return mask
+    return mask, (lo, hi)
 
 
 def _check_legendre_window(qs: QGrid, half_window: int) -> int:
@@ -246,10 +254,7 @@ def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.
         tau(q) = q * h(q) - fractal_dim.
     """
     ns = table.scales.values.astype(float)
-    if fit_range is None:
-        fit_range = (float(ns[0]), float(ns[-1]))
-    lo, hi = float(fit_range[0]), float(fit_range[1])
-    mask = _fit_mask(table.scales, (lo, hi))
+    mask, fit_range = _fit_mask(table.scales, (ns[0], ns[-1]) if fit_range is None else fit_range)
     sub = table.values[mask, :]
     if np.any(sub <= 0):
         bad = np.argwhere(sub <= 0)[0]
@@ -266,7 +271,7 @@ def fit_scaling(table: FluctuationTable, fit_range=None, fractal_dim: float = 1.
     resid = (ln_f - ln_f.mean(axis=0)) - np.outer(xc, h)
     se = np.sqrt(np.sum(resid * resid, axis=0) / (xc.size - 2) / sxx)  # _fit_mask keeps >= 3 scales
     tau = table.qs.values * h - fractal_dim
-    return ScalingEstimate(table.qs, h, se, tau, float(fractal_dim), (lo, hi))
+    return ScalingEstimate(table.qs, h, se, tau, float(fractal_dim), fit_range)
 
 
 def legendre_spectrum(est: ScalingEstimate, half_window: int = 3) -> SingularitySpectrum:
@@ -290,15 +295,21 @@ def legendre_spectrum(est: ScalingEstimate, half_window: int = 3) -> Singularity
     return SingularitySpectrum(q_in, alpha, f, width)
 
 
-def _check_weights(weights) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape not in ((2,), (4,)):
-        raise ValidationError(f"expected two or four weights, got shape {w.shape}")
+def _check_weights(weights, counts=(2, 4), zero_ok: bool = False) -> tuple[float, ...]:
+    """A cascade's weights as floats: ``counts`` says how many, ``zero_ok`` whether one may be 0."""
+    w = np.atleast_1d(np.asarray(weights, dtype=object))
+    if len(w) not in counts:
+        names = " or ".join({2: "two", 4: "four"}[c] for c in counts)
+        exactly = "exactly " if len(counts) == 1 else ""
+        raise ValidationError(f"expected {exactly}{names} weights, got {len(w)}")
+    w = tuple(float(_real("weight", x)) for x in w)
     # written so that a NaN weight fails both checks
-    if not np.all(w > 0):
+    if zero_ok and not all(x >= 0 for x in w):
+        raise ValidationError(f"weights must be nonnegative, got {w}")
+    if not zero_ok and not all(x > 0 for x in w):
         raise ValidationError("analytic formulas need strictly positive weights")
-    if not abs(w.sum() - 1.0) <= 1e-12:
-        raise ValidationError(f"weights must sum to 1 within 1e-12, got {float(w.sum())!r}")
+    if not abs(sum(w) - 1.0) <= 1e-12:
+        raise ValidationError(f"weights must sum to 1 within 1e-12, got {sum(w)!r}")
     return w
 
 
@@ -308,7 +319,7 @@ def _closed_form(name, weights, q, formula) -> np.ndarray | float:
     A value that is not finite (some w_i^q overflows or underflows) raises a
     ValidationError naming the first such q; numpy's warnings stay silent.
     """
-    w, q = _check_weights(weights), np.asarray(q, dtype=float)
+    w, q = np.array(_check_weights(weights)), np.asarray(q, dtype=float)
     with np.errstate(all="ignore"):
         out = formula(w, w[None, :] ** np.atleast_1d(q)[:, None])
     if not np.all(np.isfinite(out)):
@@ -341,9 +352,7 @@ def analytic_f(weights, q) -> np.ndarray | float:
 
 def _binomial_weights(p1: float) -> tuple[float, float]:
     """The weights (p1, 1 - p1) of the binomial cascade."""
-    if not (isinstance(p1, numbers.Real) and 0.0 < p1 < 1.0):
-        raise ValidationError(f"p1 must lie strictly inside (0, 1), got {p1}")
-    return p1, 1.0 - p1
+    return _real("p1", p1, 0, 1, strict=True), 1.0 - p1
 
 
 def analytic_tau_1d(p1: float, q) -> np.ndarray | float:

@@ -276,6 +276,22 @@ def white_noise_weights_mfdma_2d(n: int, theta: float) -> np.ndarray:
     return weights
 
 
+def white_noise_block_weights_mfdma_2d(n: int, theta: float) -> np.ndarray:
+    """The weights of one n x n block's MFDMA residuals on its (2n - 1 + d)^2 inputs.
+
+    Row (u, v), in row-major order, is :func:`white_noise_weights_mfdma_2d`
+    placed (u, v) along, so a column weighs the input at that row-major
+    offset from the first one residual (0, 0) reads.
+    """
+    window = white_noise_weights_mfdma_2d(n, theta)
+    side = n - 1 + window.shape[0]
+    rows = np.zeros((n, n, side, side))
+    for u in range(n):
+        for v in range(n):
+            rows[u, v, u:u + window.shape[0], v:v + window.shape[1]] = window
+    return rows.reshape(n * n, side * side)
+
+
 def white_noise_weights_mfdfa_2d(n: int) -> np.ndarray:
     """The weights of 2-d MFDFA's residuals on one block's inputs: (I - P) L.
 

@@ -14,6 +14,8 @@ from mfdma import (
     ScaleGrid,
     Series,
     ValidationError,
+    analytic_tau,
+    build_q_grid,
     build_scale_grid,
     fit_scaling,
     gaussian_noise,
@@ -24,8 +26,9 @@ from mfdma import (
 
 WEIGHTS = (0.1, 0.2, 0.3, 0.4)
 SCALES, QS = np.array([10, 20, 40]), np.linspace(-1.0, 1.0, 11)
-ESTIMATE = fit_scaling(FluctuationTable(ScaleGrid(SCALES), QGrid(QS),
-                                        np.sqrt(np.outer(SCALES, np.ones(QS.size)))))
+ESTIMATE_TABLE = FluctuationTable(ScaleGrid(SCALES), QGrid(QS),
+                                  np.sqrt(np.outer(SCALES, np.ones(QS.size))))
+ESTIMATE = fit_scaling(ESTIMATE_TABLE)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -74,5 +77,30 @@ def test_a_non_number_where_a_real_number_goes_is_a_validation_error():
     for call in calls:
         with pytest.raises(ValidationError):
             call()
-    # a weight given as the text of a number still reads as that number
-    assert CascadeSpec2D(tuple(map(str, WEIGHTS)), 3).weights == WEIGHTS
+    # a weight is a real number, as theta and p1 are: its text is refused
+    with pytest.raises(ValidationError, match=r"^weight must be a real number, got '0\.1'$"):
+        CascadeSpec2D(tuple(map(str, WEIGHTS)), 3)
+
+
+@pytest.mark.parametrize("call, label", [
+    (lambda: DetrendConfig(4, True), "theta"),
+    (lambda: DetrendConfig2D(4, 4, True), "theta"),
+    (lambda: CascadeSpec2D((True, False, False, False), 3), "weight"),
+    (lambda: build_scale_grid(10, 100, "5"), "count"),
+    (lambda: build_scale_grid("10", 100, 5), "n_min"),
+    (lambda: build_scale_grid(10, None, 5), "n_max"),
+    (lambda: build_q_grid("1", 2, 0.5), "q_min"),
+    (lambda: build_q_grid(None, 2, 0.5), "q_min"),
+    (lambda: fit_scaling(ESTIMATE_TABLE, ("a", 50)), "fit_lo"),
+    (lambda: fit_scaling(ESTIMATE_TABLE, (None, 50)), "fit_lo"),
+    (lambda: analytic_tau(("a", "b"), 1.0), "weight"),
+], ids=["theta-bool", "theta-2d-bool", "weight-bool", "count-text", "n-min-text", "n-max-none",
+        "q-min-text", "q-min-none", "fit-lo-text", "fit-lo-none", "weights-text"])
+def test_a_real_parameter_that_is_not_a_real_number_is_named(call, label):
+    with pytest.raises(ValidationError, match=f"^{label} must be a real number, got "):
+        call()
+
+
+def test_a_text_theta_is_shown_as_text():
+    with pytest.raises(ValidationError, match=r"^theta must be a real number, got '0\.5'$"):
+        DetrendConfig(4, "0.5")

@@ -374,7 +374,7 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
         ("surface", ["--analytic-weights", "a,0.2,0.3,0.5"],
          "weights must be comma-separated numbers, got 'a,0.2,0.3,0.5'"),
         ("surface", ["--analytic-weights", "0.1,0.2,0.7"],
-         "expected four comma-separated weights, got 3"),
+         "expected exactly four weights, got 3"),
     ],
     ids=["p1-on-series", "weights-on-surface", "nan-weight-on-surface", "tau-overflow-on-surface",
          "theta-flag", "method-flag", "weight-not-a-number", "three-weights"],
@@ -686,6 +686,15 @@ def test_a_non_finite_q_grid_is_a_validation_error(argv, message, measure_file, 
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert err.count("\n") == 1
+
+
+def test_a_non_finite_fit_end_is_refused_before_the_input_is_read(tmp_path, capsys):
+    # it selected 0 scales after ingest, and a missing input exited 4 first
+    missing = str(tmp_path / "missing.csv")
+    assert main(["analyze", "--input", missing, "--fit-lo", "nan"]) == 2
+    assert capsys.readouterr().err == "error: fit_lo must be finite, got nan\n"
+    with pytest.raises(mfdma.ValidationError, match=r"^fit_hi must be finite, got inf$"):
+        pipeline.AnalysisConfig(fit_hi=float("inf"))
 
 
 def test_a_scale_count_numpy_cannot_index_is_a_validation_error(measure_file, capsys):

@@ -136,6 +136,15 @@ def test_white_noise_weights_make_the_2d_residual_maps(n):
         windows = np.lib.stride_tricks.sliding_window_view(x, weights.shape)
         np.testing.assert_allclose(residuals, np.einsum("ijab,ab->ij", windows, weights),
                                    rtol=1e-12, atol=1e-12)
+        # one block's residuals, on the smallest input that holds them
+        block = reference.white_noise_block_weights_mfdma_2d(n, theta)
+        side = n - 1 + weights.shape[0]
+        y = np.random.default_rng(n).standard_normal((side, side))
+        np.testing.assert_allclose(
+            dma2d.residual_matrix_2d(dma2d.window_aggregates(y, cfg), cfg)[:n, :n].ravel(),
+            block @ y.ravel(), rtol=1e-12, atol=1e-12)
+        assert (reference.white_noise_moment_1d(block, 2)
+                == pytest.approx(reference.white_noise_f2_mfdma_2d(n, theta), rel=1e-12))
     blocks = dma1d._blocks(x, n)  # axes (c1, u, c2, v)
     residuals = dma2d._plane_residuals(blocks.cumsum(axis=3).cumsum(axis=1))
     flat = blocks.transpose(0, 2, 1, 3).reshape(*blocks.shape[::2], n * n)
@@ -144,22 +153,27 @@ def test_white_noise_weights_make_the_2d_residual_maps(n):
     np.testing.assert_allclose(residuals, expected, rtol=1e-12, atol=1e-12)
 
 
-@pytest.mark.parametrize("theta", [0.0, 0.5, 1.0, None], ids=["0", "0.5", "1", "mfdfa"])
-def test_white_noise_f2_has_its_exact_expectation_2d(theta):
+@pytest.mark.parametrize(
+    "theta, q", [(theta, q) for q in (2.0, 4.0) for theta in (0.0, 0.5, 1.0, None)],
+    ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4"],
+)
+def test_white_noise_f2_has_its_exact_expectation_2d(theta, q):
     if theta is None:
-        estimate = functools.partial(mfdfa_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0])
-        exact = [reference.white_noise_f2_mfdfa_2d(n) for n in NOISE_SCALES_2D]
+        estimate = functools.partial(mfdfa_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[q])
+        blocks = [reference.white_noise_weights_mfdfa_2d(n) for n in NOISE_SCALES_2D]
     else:
-        estimate = functools.partial(mfdma_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[2.0],
+        estimate = functools.partial(mfdma_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[q],
                                      theta=theta)
-        exact = [reference.white_noise_f2_mfdma_2d(n, theta) for n in NOISE_SCALES_2D]
+        blocks = [reference.white_noise_block_weights_mfdma_2d(n, theta) for n in NOISE_SCALES_2D]
+    exact = [reference.white_noise_moment_1d(weights, q) for weights in blocks]
     ratios = np.array([
         estimate(np.random.default_rng(seed).standard_normal((NOISE_SIDE, NOISE_SIDE)))
-        .values[:, 0] ** 2
+        .values[:, 0] ** q
         for seed in NOISE_SEEDS
     ]) / exact
     mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
-    assert np.all(se < 0.02), se  # the 1-d shift rule moves F_2^2 by 15% or more at theta 0.5
+    # at q = 2, the 1-d shift rule moves F_2^2 by 15% or more at theta 0.5
+    assert np.all(se < NOISE_SE_BOUND[q]), se
     assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
 
 
