@@ -103,8 +103,8 @@ class AnalysisConfig:
                 )
         _real("theta", self.theta, 0, 1)
         for name in ("fit_lo", "fit_hi"):
-            if getattr(self, name) is not None and not abs(getattr(self, name)) < math.inf:
-                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
+            if getattr(self, name) is not None:
+                _real(name, getattr(self, name))
         # grid parameters are validated for real when the grids are built
         qs = build_q_grid(self.q_min, self.q_max, self.q_step)
         _check_legendre_window(qs, self.legendre_half_window)

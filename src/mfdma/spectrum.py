@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 LN2 = np.log(2.0)
+FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
 
 
 def _whole(label: str, value, minimum: int) -> int:
@@ -50,12 +51,15 @@ def _whole(label: str, value, minimum: int) -> int:
 
 
 def _real(label: str, value, low=None, high=None, strict: bool = False):
-    """``value`` unchanged: a real number, not a bool, in [low, high], or (low, high) if ``strict``."""
+    """``value`` unchanged: a finite real, not a bool, in [low, high], or (low, high) if ``strict``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{label} must be a real number, got {value!r}")
     if low is not None and not (low < value < high if strict else low <= value <= high):
         interval = f"strictly inside ({low}, {high})" if strict else f"in [{low}, {high}]"
         raise ValidationError(f"{label} must lie {interval}, got {value}")
+    # NaN, ±inf and an int past FLOAT_MAX fail; a float32 is tested in its own precision
+    if not (np.isfinite(value) if isinstance(value, np.floating) else -FLOAT_MAX <= value <= FLOAT_MAX):
+        raise ValidationError(f"{label} must be finite, got {value}")
     return value
 
 
@@ -190,10 +194,6 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     """Uniform q grid from q_min to q_max inclusive; snaps tiny values to 0."""
     for label, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
         _real(label, value)
-    if not np.all(np.isfinite([q_min, q_max, q_step])):
-        raise ValidationError(
-            f"q_min, q_max and q_step must be finite, got ({q_min}, {q_max}, {q_step})"
-        )
     if q_step <= 0:
         raise ValidationError(f"q_step must be positive, got {q_step}")
     if q_max <= q_min:
@@ -303,12 +303,11 @@ def _check_weights(weights, counts=(2, 4), zero_ok: bool = False) -> tuple[float
         exactly = "exactly " if len(counts) == 1 else ""
         raise ValidationError(f"expected {exactly}{names} weights, got {len(w)}")
     w = tuple(float(_real("weight", x)) for x in w)
-    # written so that a NaN weight fails both checks
-    if zero_ok and not all(x >= 0 for x in w):
+    if zero_ok and any(x < 0 for x in w):
         raise ValidationError(f"weights must be nonnegative, got {w}")
-    if not zero_ok and not all(x > 0 for x in w):
+    if not zero_ok and any(x <= 0 for x in w):
         raise ValidationError("analytic formulas need strictly positive weights")
-    if not abs(sum(w) - 1.0) <= 1e-12:
+    if abs(sum(w) - 1.0) > 1e-12:
         raise ValidationError(f"weights must sum to 1 within 1e-12, got {sum(w)!r}")
     return w
 

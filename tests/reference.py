@@ -226,17 +226,29 @@ def white_noise_segment_weights_mfdma_1d(n: int, theta: float) -> np.ndarray:
 
 
 def white_noise_moment_1d(weights: np.ndarray, q: float) -> float:
-    """E[F_v(n)^q] on white noise, q 2 or 4, of a segment whose n residuals are ``weights`` @ x.
+    """E[F_v(n)^q] on white noise, q 2, 4 or -2, of a segment whose n residuals are ``weights`` @ x.
 
     F_v^2 = x'Mx with M = W'W / n, a quadratic form in i.i.d. unit normals,
-    so E[F_v^2] = tr M and E[F_v^4] = (tr M)^2 + 2 tr(M^2).  F_q(n)^q is the
-    mean of F_v^q over the segments, so it has this expectation at every N.
+    so E[F_v^2] = tr M and E[F_v^4] = (tr M)^2 + 2 tr(M^2).  With lambda the
+    eigenvalues of M, E[F_v^-2] = int_0^inf prod_k (1 + 2 lambda_k t)^(-1/2) dt
+    (Mathai & Provost, Quadratic Forms in Random Variables, 1992), finite when
+    M has rank above 2.  F_q(n)^q is the mean of F_v^q over the segments, so it
+    has this expectation at every N.
     """
     m = weights.T @ weights / len(weights)
     if q == 2:
         return float(np.trace(m))
-    assert q == 4, q
-    return float(np.trace(m) ** 2 + 2 * np.sum(m * m))  # M is symmetric: tr(M^2) = sum M_ij^2
+    if q == 4:
+        return float(np.trace(m) ** 2 + 2 * np.sum(m * m))  # M is symmetric: tr(M^2) = sum M_ij^2
+    assert q == -2, q
+    lam = np.sort(np.clip(np.linalg.eigvalsh(m), 0, None))  # M's zero eigenvalues may round below 0
+    # over s = ln t the integrand rises as e^s until t ~ 1 / (2 lambda_max) and falls at least
+    # as e^(-s/2) once t passes 1 / (2 lambda_3); the trapezoid sum of a smooth integrand that
+    # decays this fast at both ends converges geometrically in the step
+    step = 0.05
+    s = np.arange(-np.log(2 * lam[-1]) - 40, -np.log(2 * lam[-3]) + 80, step)
+    f = np.exp(s - 0.5 * np.log1p(2 * np.outer(np.exp(s), lam)).sum(axis=1))
+    return float(step * (f.sum() - (f[0] + f[-1]) / 2))
 
 
 def white_noise_f2_mfdma_1d(n: int, theta: float) -> float:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfdma import (
+    AnalysisConfig,
     CascadeSpec1D,
     CascadeSpec2D,
     DetrendConfig,
@@ -29,6 +30,7 @@ SCALES, QS = np.array([10, 20, 40]), np.linspace(-1.0, 1.0, 11)
 ESTIMATE_TABLE = FluctuationTable(ScaleGrid(SCALES), QGrid(QS),
                                   np.sqrt(np.outer(SCALES, np.ones(QS.size))))
 ESTIMATE = fit_scaling(ESTIMATE_TABLE)
+HUGE = 10**400  # a whole number that no float holds, as a JSON config file may give
 
 
 @pytest.mark.parametrize("call, message", [
@@ -104,3 +106,23 @@ def test_a_real_parameter_that_is_not_a_real_number_is_named(call, label):
 def test_a_text_theta_is_shown_as_text():
     with pytest.raises(ValidationError, match=r"^theta must be a real number, got '0\.5'$"):
         DetrendConfig(4, "0.5")
+
+
+@pytest.mark.parametrize("call, label", [
+    (lambda: AnalysisConfig(q_min=HUGE), "q_min"),
+    (lambda: AnalysisConfig(q_max=HUGE), "q_max"),
+    (lambda: AnalysisConfig(q_step=HUGE), "q_step"),
+    (lambda: AnalysisConfig(fit_lo=HUGE), "fit_lo"),
+    (lambda: AnalysisConfig(fit_hi=HUGE), "fit_hi"),
+    (lambda: build_scale_grid(float("nan"), 100, 5), "n_min"),
+    (lambda: CascadeSpec2D((HUGE, 0, 0, 0), 3), "weight"),
+    (lambda: analytic_tau((HUGE, 0.5), 1), "weight"),
+    (lambda: fit_scaling(ESTIMATE_TABLE, (HUGE, 50)), "fit_lo"),
+    # a float32 bound would overflow in the comparison and let inf through
+    (lambda: fit_scaling(ESTIMATE_TABLE, (np.float32("inf"), 50)), "fit_lo"),
+], ids=["q-min-huge", "q-max-huge", "q-step-huge", "fit-lo-huge", "fit-hi-huge", "n-min-nan",
+        "weight-2d-huge", "weight-tau-huge", "fit-scaling-huge", "fit-scaling-float32-inf"])
+def test_a_real_parameter_that_no_float_holds_is_named(call, label):
+    # each raised a TypeError or an OverflowError, or warned or named no parameter
+    with pytest.raises(ValidationError, match=f"^{label} must be finite, got (nan|inf|{HUGE})$"):
+        call()

@@ -361,8 +361,7 @@ def test_compare_reproduces_estimator_ranking(measure14_file, tmp_path, capsys):
         ("series", ["--analytic-p1", "1.5"], "p1 must lie strictly inside (0, 1), got 1.5"),
         ("surface", ["--analytic-weights", "0.5,0.5,0.5,0.5"],
          "weights must sum to 1 within 1e-12, got 2.0"),
-        ("surface", ["--analytic-weights", "nan,0.2,0.3,0.4"],
-         "analytic formulas need strictly positive weights"),
+        ("surface", ["--analytic-weights", "nan,0.2,0.3,0.4"], "weight must be finite, got nan"),
         # 0.1^-400 overflows, so tau(q) is not finite on this grid
         ("surface", ["--analytic-weights", "0.1,0.2,0.3,0.4", "--q-min", "-400", "--q-max", "400",
                      "--q-step", "1"], "closed-form tau(q) is not finite at q=-400"),
@@ -642,7 +641,7 @@ def test_oracle_rejects_ambiguous_reference(capsys):
 
 def test_oracle_rejects_a_nan_weight(capsys):
     assert main(["oracle", "--weights", "nan,0.2,0.3,0.4"]) == 2
-    assert capsys.readouterr() == ("", "error: analytic formulas need strictly positive weights\n")
+    assert capsys.readouterr() == ("", "error: weight must be finite, got nan\n")
 
 
 def test_oracle_rejects_a_q_grid_whose_closed_form_overflows(capsys):
@@ -655,17 +654,15 @@ def test_oracle_rejects_a_q_grid_whose_closed_form_overflows(capsys):
     assert capsys.readouterr() == ("", "error: closed-form tau(q) is not finite at q=-1000\n")
 
 
-NOT_FINITE = "error: q_min, q_max and q_step must be finite, got ("
-
-
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["analyze", "--q-step", "nan"], NOT_FINITE),
-        (["analyze", "--q-max", "inf"], NOT_FINITE),
-        (["analyze", "--q-min=-inf"], NOT_FINITE),
-        (["analyze", "--config", "nan-step.json"], NOT_FINITE),
-        (["oracle", "--p1", "0.3", "--q-step", "nan"], NOT_FINITE),
+        # a whole line: each names the one bound that is not finite
+        (["analyze", "--q-step", "nan"], "error: q_step must be finite, got nan\n"),
+        (["analyze", "--q-max", "inf"], "error: q_max must be finite, got inf\n"),
+        (["analyze", "--q-min=-inf"], "error: q_min must be finite, got -inf\n"),
+        (["analyze", "--config", "nan-step.json"], "error: q_step must be finite, got nan\n"),
+        (["oracle", "--p1", "0.3", "--q-step", "nan"], "error: q_step must be finite, got nan\n"),
         # numpy cannot index 1e20 values; the step count of the next one overflows to inf
         (["oracle", "--p1", "0.3", "--q-min", "0", "--q-max", "1e20", "--q-step", "1"],
          "error: q range (0.0, 1e+20) in steps of 1.0 needs 1e+20 steps, more than numpy"),
@@ -695,6 +692,19 @@ def test_a_non_finite_fit_end_is_refused_before_the_input_is_read(tmp_path, caps
     assert capsys.readouterr().err == "error: fit_lo must be finite, got nan\n"
     with pytest.raises(mfdma.ValidationError, match=r"^fit_hi must be finite, got inf$"):
         pipeline.AnalysisConfig(fit_hi=float("inf"))
+
+
+@pytest.mark.parametrize("key", ["q_max", "fit_hi"])
+def test_a_config_number_that_no_float_holds_is_refused_before_the_input_is_read(
+    key, tmp_path, capsys
+):
+    # np.isfinite raised a TypeError on the q bound, float() an OverflowError on the fit end
+    huge = 10**400
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({key: huge}))
+    argv = ["analyze", "--input", str(tmp_path / "missing.csv"), "--config", str(config)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {huge}\n"
 
 
 def test_a_scale_count_numpy_cannot_index_is_a_validation_error(measure_file, capsys):

@@ -109,10 +109,10 @@ def test_cascade2d_takes_exactly_four_weights(weights):
 
 
 def test_cascade2d_rejects_a_nan_weight():
-    # NaN fails every comparison, so it must not pass a check that asks for a failing one
-    with pytest.raises(ValidationError, match="nonnegative"):
+    # NaN fails every comparison, so no sign or sum check may be the one to catch it
+    with pytest.raises(ValidationError, match="^weight must be finite, got nan$"):
         CascadeSpec2D(weights=(float("nan"), 0.2, 0.3, 0.4), levels=2)
-    with pytest.raises(ValidationError, match="sum to 1"):
+    with pytest.raises(ValidationError, match="^weight must be finite, got inf$"):
         CascadeSpec2D(weights=(float("inf"), 0.2, 0.3, 0.4), levels=2)
 
 

@@ -82,8 +82,9 @@ NOISE_SCALES = [4, 10, 25]
 NOISE_K = 5
 # per q of the 1-d oracle, the largest standard error of the mean ratio allowed; a
 # shift of the window moves F_4^4 about twice as far as F_2^2, and its ratio is
-# noisier: its standard errors read 0.006 to 0.019 on these seeds, largest at n = 25
-NOISE_SE_BOUND = {2.0: 0.02, 4.0: 0.05}
+# noisier: its standard errors read 0.006 to 0.019 on these seeds, largest at n = 25.
+# q = -2 takes q = 2's bound, fixed before its first run
+NOISE_SE_BOUND = {2.0: 0.02, 4.0: 0.05, -2.0: 0.02}
 
 
 def test_white_noise_weights_give_the_closed_forms():
@@ -98,19 +99,30 @@ def test_white_noise_weights_give_the_closed_forms():
         assert exact == pytest.approx((n * n - 4) / (15 * n), rel=1e-12)
 
 
+def test_white_noise_inverse_moment_matches_a_scaled_chi_square():
+    # M = lambda I of rank k makes F_v^2 lambda times a chi-square with k degrees of freedom,
+    # whose inverse has mean 1 / (k - 2); the two zero columns give M two zero eigenvalues
+    for lam, k in [(0.3, 3), (0.3, 5), (2.0, 10), (0.01, 25)]:
+        weights = np.zeros((k, k + 2))
+        weights[:, :k] = np.sqrt(lam * k) * np.eye(k)
+        assert reference.white_noise_moment_1d(weights, -2) == pytest.approx(
+            1 / (lam * (k - 2)), rel=1e-12)
+
+
 @pytest.mark.parametrize(
-    "theta, q", [(theta, q) for q in (2.0, 4.0) for theta in (0.0, 0.5, 1.0, None)],
-    ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4"],
+    "theta, q", [(theta, q) for q in (2.0, 4.0, -2.0) for theta in (0.0, 0.5, 1.0, None)],
+    ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4",
+         "0-q-2", "0.5-q-2", "1-q-2", "mfdfa-q-2"],
 )
 def test_white_noise_f2_has_its_exact_expectation_1d(theta, q):
+    # at n = 4 a segment's matrix has rank 4 or less (3 for MFDFA): F_v^-2 has infinite variance
+    scales = NOISE_SCALES if q > 0 else [n for n in NOISE_SCALES if n > 4]
     if theta is None:
-        estimate = functools.partial(mfdfa_fluctuations_1d, scales=NOISE_SCALES, qs=[q])
-        segments = [reference.white_noise_weights_mfdfa_1d(n) for n in NOISE_SCALES]
+        estimate = functools.partial(mfdfa_fluctuations_1d, scales=scales, qs=[q])
+        segments = [reference.white_noise_weights_mfdfa_1d(n) for n in scales]
     else:
-        estimate = functools.partial(mfdma_fluctuations_1d, scales=NOISE_SCALES, qs=[q],
-                                     theta=theta)
-        segments = [reference.white_noise_segment_weights_mfdma_1d(n, theta)
-                    for n in NOISE_SCALES]
+        estimate = functools.partial(mfdma_fluctuations_1d, scales=scales, qs=[q], theta=theta)
+        segments = [reference.white_noise_segment_weights_mfdma_1d(n, theta) for n in scales]
     exact = [reference.white_noise_moment_1d(weights, q) for weights in segments]
     ratios = np.array([
         estimate(np.random.default_rng(seed).standard_normal(NOISE_LENGTH)).values[:, 0] ** q

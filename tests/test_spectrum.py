@@ -46,10 +46,14 @@ def test_build_scale_grid_rejections():
         build_scale_grid(10, 100, 1)
 
 
-@pytest.mark.parametrize("count", [10**19, float("inf"), float("nan")], ids=str)
-def test_build_scale_grid_rejects_counts_numpy_cannot_index(count):
+@pytest.mark.parametrize("count, match", [
+    (10**19, "^scale count 10000000000000000000 is more than numpy can index$"),
+    (float("inf"), "^count must be finite, got inf$"),
+    (float("nan"), "^count must be finite, got nan$"),
+], ids=["10000000000000000000", "inf", "nan"])
+def test_build_scale_grid_rejects_counts_numpy_cannot_index(count, match):
     # np.logspace raised "Maximum allowed size exceeded" on 10**19
-    with pytest.raises(ValidationError, match="more than numpy can index"):
+    with pytest.raises(ValidationError, match=match):
         build_scale_grid(10, 100, count)
 
 
