@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateSegmentError, ValidationError
 from .generators import Series, Surface
-from .spectrum import FluctuationTable, _real, _whole, as_q_grid, as_scale_grid
+from .spectrum import FluctuationTable, _array, _real, _whole, as_q_grid, as_scale_grid
 
 __all__ = [
     "DetrendConfig",
@@ -61,9 +61,7 @@ class SegmentFluctuations:
     scale: int
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("segment fluctuations must be a non-empty 1-d array")
+        v = _array("segment fluctuations", self.values, 1)
         if np.any(v < 0):
             raise ValidationError("segment RMS values cannot be negative")
         object.__setattr__(self, "values", v)
@@ -98,10 +96,8 @@ def _as_values(data, ndim: int, min_side: int = 4) -> np.ndarray:
     kind = (Series, Surface)[ndim - 1]
     values = (data if isinstance(data, kind) else kind(data)).values
     if min(values.shape) < min_side:
-        raise ValidationError(
-            f"{kind.__name__.lower()} of shape {values.shape} is too small, "
-            f"analysis needs at least {min_side} points along every axis"
-        )
+        raise ValidationError(f"{kind.__name__.lower()} of shape {values.shape} is too small, "
+                              f"analysis needs at least {min_side} points along every axis")
     return values
 
 
@@ -262,10 +258,8 @@ def _validate_scales(scales, shape):
     grid = as_scale_grid(scales)
     cap = min(shape) // 4
     if grid.values[-1] > cap:
-        raise ValidationError(
-            f"largest scale {grid.values[-1]} exceeds the N/4 cap of {cap} "
-            f"for data shape {shape}"
-        )
+        raise ValidationError(f"largest scale {grid.values[-1]} exceeds the N/4 cap of {cap} "
+                              f"for data shape {shape}")
     return grid
 
 

@@ -171,9 +171,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
     if n1 > values.shape[0] or n2 > values.shape[1]:
-        raise ValidationError(
-            f"window {n1}x{n2} does not fit surface of shape {values.shape}"
-        )
+        raise ValidationError(f"window {n1}x{n2} does not fit surface of shape {values.shape}")
     first, stop = rows or (0, values.shape[0] - n1 + 1)
     if first % RECOMPUTE_EVERY or not 0 <= first < stop <= values.shape[0] - n1 + 1:
         raise ValidationError(f"window rows {first}:{stop} do not start a strip of the surface")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import ValidationError
-from .spectrum import _binomial_weights, _check_weights, _whole
+from .spectrum import MAX_VALUES, _array, _binomial_weights, _check_weights, _shown, _whole
 
 __all__ = [
     "Series",
@@ -43,16 +43,7 @@ class _Values:
 
     def __post_init__(self):
         kind = type(self).__name__.lower()
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != self.ndim:
-            dims = ("one", "two")[self.ndim - 1]
-            raise ValidationError(f"{kind} must be {dims}-dimensional, got shape {v.shape}")
-        if v.size == 0:
-            raise ValidationError(f"{kind} is empty")
-        if not np.all(np.isfinite(v)):
-            bad = int(np.flatnonzero(~np.isfinite(v))[0])
-            raise ValidationError(f"{kind} contains a non-finite value at index {bad}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _array(kind, self.values, self.ndim))
 
 
 class Series(_Values):
@@ -78,7 +69,7 @@ def _check_levels(levels: int, cap: int) -> int:
     """A cascade's ``levels`` as an int; it must be a positive integer no deeper than ``cap``."""
     levels = _whole("levels", levels, 1)
     if levels > cap:
-        raise ValidationError(f"levels={levels} exceeds the memory guard of {cap}")
+        raise ValidationError(f"levels={_shown(levels)} exceeds the memory guard of {cap}")
     return levels
 
 
@@ -161,6 +152,8 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 def gaussian_noise(length: int, seed: int) -> Series:
     """Draw i.i.d. standard normal noise; the same seed gives the same draw."""
     length = _whole("noise length", length, 16)
+    if not length < MAX_VALUES:
+        raise ValidationError(f"noise length {_shown(length)} is more than numpy can index")
     rng = _seeded_rng(seed)
     return Series(rng.standard_normal(length), name=f"gaussian(length={length}, seed={seed})")
 

@@ -38,6 +38,15 @@ __all__ = [
 
 LN2 = np.log(2.0)
 FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exactly with any int
+MAX_VALUES = np.iinfo(np.intp).max // 8  # numpy describes no larger float64 array
+
+
+def _shown(value) -> str:
+    """``str(value)`` for a message; an int past Python's 4,300-digit limit is shown by its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
 
 
 def _whole(label: str, value, minimum: int) -> int:
@@ -46,7 +55,8 @@ def _whole(label: str, value, minimum: int) -> int:
         isinstance(value, numbers.Real) and float(value).is_integer())
     if isinstance(value, bool) or not whole or value < minimum:
         kind = {0: "a non-negative integer", 1: "a positive integer"}.get(minimum)
-        raise ValidationError(f"{label} must be {kind or f'an integer >= {minimum}'}, got {value}")
+        raise ValidationError(f"{label} must be {kind or f'an integer >= {minimum}'}, "
+                              f"got {_shown(value)}")
     return int(value)
 
 
@@ -56,11 +66,29 @@ def _real(label: str, value, low=None, high=None, strict: bool = False):
         raise ValidationError(f"{label} must be a real number, got {value!r}")
     if low is not None and not (low < value < high if strict else low <= value <= high):
         interval = f"strictly inside ({low}, {high})" if strict else f"in [{low}, {high}]"
-        raise ValidationError(f"{label} must lie {interval}, got {value}")
+        raise ValidationError(f"{label} must lie {interval}, got {_shown(value)}")
     # NaN, ±inf and an int past FLOAT_MAX fail; a float32 is tested in its own precision
     if not (np.isfinite(value) if isinstance(value, np.floating) else -FLOAT_MAX <= value <= FLOAT_MAX):
-        raise ValidationError(f"{label} must be finite, got {value}")
+        raise ValidationError(f"{label} must be finite, got {_shown(value)}")
     return value
+
+
+def _array(label: str, values, ndim: int) -> np.ndarray:
+    """``values`` as a float64 array: integers or floats, ``ndim`` axes, at least one, all finite."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "iuf":  # not bool, complex, text or object
+        raise ValidationError(f"{label} must hold real numbers, got dtype {v.dtype}")
+    if v.ndim != ndim:
+        dims = ("one", "two")[ndim - 1]
+        raise ValidationError(f"{label} must be {dims}-dimensional, got shape {v.shape}")
+    if v.size == 0:
+        raise ValidationError(f"{label} is empty")
+    with np.errstate(over="ignore"):  # a long double past float64's range becomes inf
+        v = v.astype(float, copy=False)
+    if not np.all(np.isfinite(v)):
+        bad = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValidationError(f"{label} contains a non-finite value at index {bad}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -70,20 +98,15 @@ class ScaleGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("scale grid must be a non-empty one-dimensional array")
-        if not np.issubdtype(v.dtype, np.integer):
-            rounded = np.rint(v)
-            if not np.allclose(v, rounded, rtol=0, atol=1e-9):
-                raise ValidationError("scales must be integers")
-            v = rounded.astype(int)
-        v = v.astype(int)
+        v = _array("scale grid", self.values, 1)
+        whole = (v % 1 == 0) & (v < 2**53)  # exact: float64 holds every integer below 2**53
+        if not whole.all():
+            raise ValidationError(f"scales must be integers below 2**53, got {float(v[~whole][0])}")
         if v[0] < 2:
-            raise ValidationError(f"scales must be at least 2, got {v[0]}")
+            raise ValidationError(f"scales must be at least 2, got {int(v[0])}")
         if np.any(np.diff(v) <= 0):
             raise ValidationError("scales must be strictly increasing with no duplicates")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", v.astype(np.int64))
 
     def __len__(self):
         return self.values.size
@@ -96,11 +119,7 @@ class QGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValidationError("q grid must be a non-empty one-dimensional array")
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("q values must be finite")
+        v = _array("q grid", self.values, 1)
         if np.any(np.diff(v) <= 0):
             raise ValidationError("q values must be strictly increasing")
         object.__setattr__(self, "values", v)
@@ -120,11 +139,11 @@ class QGrid:
 
 
 def as_scale_grid(scales) -> ScaleGrid:
-    return scales if isinstance(scales, ScaleGrid) else ScaleGrid(np.asarray(scales))
+    return scales if isinstance(scales, ScaleGrid) else ScaleGrid(scales)
 
 
 def as_q_grid(qs) -> QGrid:
-    return qs if isinstance(qs, QGrid) else QGrid(np.asarray(qs, dtype=float))
+    return qs if isinstance(qs, QGrid) else QGrid(qs)
 
 
 @dataclass(frozen=True)
@@ -136,7 +155,7 @@ class FluctuationTable:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _array("fluctuation table", self.values, 2)
         expected = (len(self.scales), len(self.qs))
         if v.shape != expected:
             raise ValidationError(f"fluctuation table shape {v.shape}, expected {expected}")
@@ -181,7 +200,7 @@ def build_scale_grid(n_min: int, n_max: int, count: int) -> ScaleGrid:
         raise ValidationError(f"need n_min < n_max, got ({n_min}, {n_max})")
     if not n_max < 2**53:  # float64 holds every integer below it, so the scales round exactly
         raise ValidationError(f"n_max must be below 2**53, got {n_max}")
-    if not count < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array
+    if not count < MAX_VALUES:
         raise ValidationError(f"scale count {count} is more than numpy can index")
     count = _whole("count", count, 2)
     raw = np.logspace(np.log10(n_min), np.log10(n_max), count)
@@ -199,14 +218,13 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> QGrid:
     if q_max <= q_min:
         raise ValidationError(f"need q_min < q_max, got ({q_min}, {q_max})")
     steps = (q_max - q_min) / q_step
-    if not steps < np.iinfo(np.intp).max // 8:  # numpy describes no larger float64 array
+    if not steps < MAX_VALUES:
         raise ValidationError(f"q range ({q_min}, {q_max}) in steps of {q_step} needs "
                               f"{steps:g} steps, more than numpy can index")
     count = int(round(steps)) + 1
     if not np.isclose(q_min + (count - 1) * q_step, q_max, rtol=0, atol=1e-9):
-        raise ValidationError(
-            f"q range ({q_min}, {q_max}) is not an integer number of steps {q_step}"
-        )
+        raise ValidationError(f"q range ({q_min}, {q_max}) is not an integer number "
+                              f"of steps {q_step}")
     qs = q_min + np.arange(count) * q_step
     qs[np.abs(qs) < 1e-12] = 0.0
     return QGrid(qs)
@@ -217,9 +235,8 @@ def _fit_mask(scales: ScaleGrid, fit_range) -> tuple[np.ndarray, tuple[float, fl
     lo, hi = (float(_real(label, end)) for label, end in zip(("fit_lo", "fit_hi"), fit_range))
     mask = (scales.values >= lo) & (scales.values <= hi)
     if int(mask.sum()) < 3:
-        raise ValidationError(
-            f"fit range ({lo:g}, {hi:g}) selects {int(mask.sum())} scales, need at least 3"
-        )
+        raise ValidationError(f"fit range ({lo:g}, {hi:g}) selects {int(mask.sum())} scales, "
+                              "need at least 3")
     return mask, (lo, hi)
 
 
@@ -227,9 +244,8 @@ def _check_legendre_window(qs: QGrid, half_window: int) -> int:
     """``half_window`` as an int; the local tau(q) slope needs 2 * half_window + 1 q points."""
     half_window = _whole("legendre half-window", half_window, 1)
     if len(qs) < 2 * half_window + 1:
-        raise ValidationError(
-            f"need at least {2 * half_window + 1} q points for half_window={half_window}"
-        )
+        raise ValidationError(f"need at least {_shown(2 * half_window + 1)} q points "
+                              f"for half_window={_shown(half_window)}")
     return half_window
 
 
@@ -371,11 +387,9 @@ def analytic_f_1d(p1: float, q) -> np.ndarray | float:
 
 def tau_error(est: ScalingEstimate, tau_analytic) -> np.ndarray:
     """Pointwise deviation tau(q) - tau_analytic(q) on the estimate's grid."""
-    ref = np.asarray(tau_analytic, dtype=float)
+    ref = _array("analytic tau", tau_analytic, 1)
     if ref.shape != est.tau.shape:
-        raise ValidationError(
-            f"analytic tau has shape {ref.shape}, estimate has {est.tau.shape}"
-        )
+        raise ValidationError(f"analytic tau has shape {ref.shape}, estimate has {est.tau.shape}")
     return est.tau - ref
 
 

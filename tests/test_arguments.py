@@ -1,4 +1,5 @@
-"""The rules the library's arguments follow: counts are whole numbers, parameters real ones."""
+"""The rules the library's arguments follow: counts are whole numbers, parameters real ones,
+and arrays finite integers or floats of the expected shape."""
 import re
 
 import numpy as np
@@ -13,7 +14,9 @@ from mfdma import (
     FluctuationTable,
     QGrid,
     ScaleGrid,
+    SegmentFluctuations,
     Series,
+    Surface,
     ValidationError,
     analytic_tau,
     build_q_grid,
@@ -21,9 +24,12 @@ from mfdma import (
     fit_scaling,
     gaussian_noise,
     legendre_spectrum,
+    mfdma_fluctuations_1d,
     segment_rms,
     shuffle_surrogate,
+    tau_error,
 )
+from mfdma.spectrum import FLOAT_MAX
 
 WEIGHTS = (0.1, 0.2, 0.3, 0.4)
 SCALES, QS = np.array([10, 20, 40]), np.linspace(-1.0, 1.0, 11)
@@ -126,3 +132,86 @@ def test_a_real_parameter_that_no_float_holds_is_named(call, label):
     # each raised a TypeError or an OverflowError, or warned or named no parameter
     with pytest.raises(ValidationError, match=f"^{label} must be finite, got (nan|inf|{HUGE})$"):
         call()
+
+
+# a whole number too long for str, which Python refuses past 4,300 digits
+LONG = 10**5000
+LONG_TEXT = "an integer of 16610 bits"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_q_grid(LONG, 1, 0.1), f"q_min must be finite, got {LONG_TEXT}"),
+    (lambda: build_q_grid(0, 1, LONG), f"q_step must be finite, got {LONG_TEXT}"),
+    (lambda: build_scale_grid(10, LONG, 5), f"n_max must be finite, got {LONG_TEXT}"),
+    (lambda: build_scale_grid(10, 100, LONG), f"count must be finite, got {LONG_TEXT}"),
+    (lambda: CascadeSpec1D(0.3, LONG), f"levels={LONG_TEXT} exceeds the memory guard of 30"),
+    (lambda: DetrendConfig(-LONG), "window size must be an integer >= 2, "
+                                   "got a negative integer of 16610 bits"),
+    (lambda: DetrendConfig(4, LONG), f"theta must lie in [0, 1], got {LONG_TEXT}"),
+    (lambda: gaussian_noise(64, -LONG), "seed must be a non-negative integer, "
+                                        "got a negative integer of 16610 bits"),
+    (lambda: AnalysisConfig(legendre_half_window=LONG),
+     f"need at least an integer of 16611 bits q points for half_window={LONG_TEXT}"),
+], ids=["q-min", "q-step", "n-max", "count", "levels", "window-size", "theta", "seed",
+        "half-window"])
+def test_a_number_too_long_to_print_is_named_by_its_size(call, message):
+    # each message was a ValueError of its own, from str of the number
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+NOISE = np.random.default_rng(5).standard_normal(256)
+
+
+@pytest.mark.parametrize("call, message", [
+    # the cast to int64 wrapped, and the wrapped diff passed as increasing
+    (lambda: ScaleGrid(np.array([10.0, np.inf])), "scale grid contains a non-finite value at index 1"),
+    (lambda: ScaleGrid(np.array([10.0, 1e30])), "scales must be integers below 2**53, got 1e+30"),
+    (lambda: mfdma_fluctuations_1d(NOISE, [10, 1e30], QS),
+     "scales must be integers below 2**53, got 1e+30"),
+    # an int64 scale that float64 would round
+    (lambda: ScaleGrid(np.array([2, 2**60])),
+     "scales must be integers below 2**53, got 1.152921504606847e+18"),
+    (lambda: ScaleGrid(np.array(["10", "20"])), "scale grid must hold real numbers, got dtype <U2"),
+    (lambda: mfdma_fluctuations_1d(NOISE, SCALES, ["a"]),
+     "q grid must hold real numbers, got dtype <U1"),
+    (lambda: QGrid(np.array([[0.0, 1.0]])), "q grid must be one-dimensional, got shape (1, 2)"),
+    # were accepted, and their power means nan or finite
+    (lambda: SegmentFluctuations([1.0, np.nan], 4),
+     "segment fluctuations contains a non-finite value at index 1"),
+    (lambda: SegmentFluctuations([1.0, np.inf], 4),
+     "segment fluctuations contains a non-finite value at index 1"),
+    (lambda: FluctuationTable(ESTIMATE_TABLE.scales, ESTIMATE_TABLE.qs, np.full((3, 11), np.nan)),
+     "fluctuation table contains a non-finite value at index 0"),
+    (lambda: FluctuationTable(ESTIMATE_TABLE.scales, ESTIMATE_TABLE.qs, np.ones(33)),
+     "fluctuation table must be two-dimensional, got shape (33,)"),
+    # the imaginary part was dropped with a warning, and a bool read as 0 or 1
+    (lambda: Series(np.ones(16) + 1j), "series must hold real numbers, got dtype complex128"),
+    (lambda: Surface(np.ones((8, 8), dtype=bool)), "surface must hold real numbers, got dtype bool"),
+    (lambda: Series([1.0, 10**30]), "series must hold real numbers, got dtype object"),
+    (lambda: Surface(np.ones((0, 4))), "surface is empty"),
+    # a long double past float64's range casts to inf, with a warning unless silenced
+    pytest.param(lambda: Series(np.array([1, 2 * np.longdouble(FLOAT_MAX)])),
+                 "series contains a non-finite value at index 1",
+                 marks=pytest.mark.skipif(np.finfo(np.longdouble).max <= FLOAT_MAX,
+                                          reason="long double is float64 here")),
+    # its nan went into every delta tau
+    (lambda: tau_error(ESTIMATE, np.full(QS.size, np.nan)),
+     "analytic tau contains a non-finite value at index 0"),
+], ids=["scales-inf", "scales-1e30", "estimator-scales-1e30", "scales-int64-2**60", "scales-text",
+        "estimator-qs-text", "qs-2d", "segments-nan", "segments-inf", "table-nan", "table-1d",
+        "series-complex", "surface-bool", "series-object", "surface-empty",
+        "series-long-double-overflow", "analytic-tau-nan"])
+def test_an_array_argument_is_finite_real_numbers_of_its_shape(call, message):
+    # pyproject's filterwarnings makes any warning on the way fail the test
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_an_array_of_integers_or_of_any_float_width_is_read_as_float64():
+    for values in (np.arange(16), np.arange(16, dtype=np.uint8), np.arange(16, dtype=np.float32),
+                   list(range(16))):
+        series = Series(values)
+        assert series.values.dtype == np.float64
+        np.testing.assert_array_equal(series.values, np.arange(16.0))
+    assert ScaleGrid([10.0, 20, np.uint64(40)]).values.tolist() == [10, 20, 40]

@@ -741,6 +741,36 @@ def test_a_negative_seed_is_a_validation_error(command, measure_file, tmp_path, 
     assert not out.exists()
 
 
+def test_a_noise_length_numpy_cannot_index_is_a_validation_error(tmp_path, capsys):
+    # numpy's "Maximum allowed dimension exceeded" was a traceback and exit 1
+    out = tmp_path / "huge-length.csv"
+    assert main(["generate", "noise", "--length", "1000000000000000000000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: noise length 1000000000000000000000 is more than numpy can index\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode, shape", [("series", (4096,)), ("surface", (64, 64))],
+                         ids=["series", "surface"])
+def test_data_whose_fluctuations_overflow_exits_2_without_a_traceback(mode, shape, tmp_path):
+    # the block squares overflow to inf and the power means to nan; the nan h(q) this gave
+    # was a traceback and exit 1 in the printed table.  numpy's RuntimeWarnings may come first
+    path = tmp_path / "huge.csv"
+    np.savetxt(path, 1e300 * np.random.default_rng(0).standard_normal(shape), delimiter=",")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(mfdma.__file__).parents[1]),
+                                                       os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "mfdma", "analyze", "--mode", mode, "--input", str(path),
+         "--out-dir", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.splitlines()[-1].startswith(
+        "error: fluctuation table contains a non-finite value at index ")
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_surrogate_rejects_surface_mode_before_reading(source, tmp_path, monkeypatch, capsys):
     from mfdma import cli

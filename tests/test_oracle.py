@@ -83,8 +83,8 @@ NOISE_K = 5
 # per q of the 1-d oracle, the largest standard error of the mean ratio allowed; a
 # shift of the window moves F_4^4 about twice as far as F_2^2, and its ratio is
 # noisier: its standard errors read 0.006 to 0.019 on these seeds, largest at n = 25.
-# q = -2 takes q = 2's bound, fixed before its first run
-NOISE_SE_BOUND = {2.0: 0.02, 4.0: 0.05, -2.0: 0.02}
+# q = -2 takes q = 2's bound and q = -4 takes q = 4's, each fixed before its first run
+NOISE_SE_BOUND = {2.0: 0.02, 4.0: 0.05, -2.0: 0.02, -4.0: 0.05}
 
 
 def test_white_noise_weights_give_the_closed_forms():
@@ -101,22 +101,28 @@ def test_white_noise_weights_give_the_closed_forms():
 
 def test_white_noise_inverse_moment_matches_a_scaled_chi_square():
     # M = lambda I of rank k makes F_v^2 lambda times a chi-square with k degrees of freedom,
-    # whose inverse has mean 1 / (k - 2); the two zero columns give M two zero eigenvalues
+    # whose inverse has mean 1 / (k - 2) and inverse square 1 / ((k - 2)(k - 4)); the two zero
+    # columns give M two zero eigenvalues
     for lam, k in [(0.3, 3), (0.3, 5), (2.0, 10), (0.01, 25)]:
         weights = np.zeros((k, k + 2))
         weights[:, :k] = np.sqrt(lam * k) * np.eye(k)
         assert reference.white_noise_moment_1d(weights, -2) == pytest.approx(
             1 / (lam * (k - 2)), rel=1e-12)
+        if k > 4:
+            assert reference.white_noise_moment_1d(weights, -4) == pytest.approx(
+                1 / (lam * lam * (k - 2) * (k - 4)), rel=1e-12)
 
 
 @pytest.mark.parametrize(
-    "theta, q", [(theta, q) for q in (2.0, 4.0, -2.0) for theta in (0.0, 0.5, 1.0, None)],
+    "theta, q", [(theta, q) for q in (2.0, 4.0, -2.0, -4.0) for theta in (0.0, 0.5, 1.0, None)],
     ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4",
-         "0-q-2", "0.5-q-2", "1-q-2", "mfdfa-q-2"],
+         "0-q-2", "0.5-q-2", "1-q-2", "mfdfa-q-2", "0-q-4", "0.5-q-4", "1-q-4", "mfdfa-q-4"],
 )
 def test_white_noise_f2_has_its_exact_expectation_1d(theta, q):
-    # at n = 4 a segment's matrix has rank 4 or less (3 for MFDFA): F_v^-2 has infinite variance
-    scales = NOISE_SCALES if q > 0 else [n for n in NOISE_SCALES if n > 4]
+    # F_v^q, q < 0, has finite variance only when a segment's matrix has rank above -2q.  At
+    # n = 4 the rank is 4 or less (3 for MFDFA), so q = -2 starts at n = 10; at n = 10 MFDFA's
+    # rank is 8, so q = -4 takes n = 25 only
+    scales = {-2.0: NOISE_SCALES[1:], -4.0: NOISE_SCALES[2:]}.get(q, NOISE_SCALES)
     if theta is None:
         estimate = functools.partial(mfdfa_fluctuations_1d, scales=scales, qs=[q])
         segments = [reference.white_noise_weights_mfdfa_1d(n) for n in scales]

@@ -96,7 +96,7 @@ def test_scale_grid_validation():
         ScaleGrid(np.array([2, 2, 3]))
     with pytest.raises(ValidationError):
         ScaleGrid(np.array([5, 3]))
-    for values, match in [([10.5], "scales must be integers"), ([], "non-empty"),
+    for values, match in [([10.5], "scales must be integers"), ([], "^scale grid is empty$"),
                           ([1, 4], "scales must be at least 2, got 1")]:
         with pytest.raises(ValidationError, match=match):
             ScaleGrid(np.array(values))
@@ -104,8 +104,9 @@ def test_scale_grid_validation():
     assert whole.tolist() == [10, 20] and np.issubdtype(whole.dtype, np.integer)
     with pytest.raises(ValidationError):
         QGrid(np.array([0.0, 0.0]))
-    for values, match in [([], "non-empty"), ([0.0, np.inf], "q values must be finite"),
-                          ([np.nan, 1.0], "q values must be finite")]:
+    for values, match in [([], "^q grid is empty$"),
+                          ([0.0, np.inf], "^q grid contains a non-finite value at index 1$"),
+                          ([np.nan, 1.0], "^q grid contains a non-finite value at index 0$")]:
         with pytest.raises(ValidationError, match=match):
             QGrid(np.array(values))
     with pytest.raises(ValidationError, match=r"shape \(3, 2\), expected \(2, 3\)"):
