@@ -61,9 +61,10 @@ class SegmentFluctuations:
     scale: int
 
     def __post_init__(self):
-        v = _array("segment fluctuations", self.values, 1)
+        label = f"segment fluctuations at scale n={self.scale}"
+        v = _array(label, self.values, 1)
         if np.any(v < 0):
-            raise ValidationError("segment RMS values cannot be negative")
+            raise ValidationError(f"{label} cannot be negative")
         object.__setattr__(self, "values", v)
 
 
@@ -127,21 +128,20 @@ def moving_average(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) 
     block-local cumulative sums, so no rounded sum spans more than n
     points; per-segment F_v match the sliding n-point mean to rtol 1e-9.
 
-    ``out``, if given, is a pair of flat float buffers for the block sums,
-    (N//n + 1) * (n + 1) values, and the averages; the result is a view of the second.
+    ``out``, if given, is a flat float buffer of at least (N//n + 1) * (n + 1) + N
+    values: the block sums at its start, then the averages, which the result views.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
     if n > y.size:
         raise ValidationError(f"window size {n} exceeds series length {y.size}")
     count = y.size // n  # whole blocks; the zero-padded partial one follows
-    sums_buffer, windows_buffer = out or (None, None)
-    sums = _take(sums_buffer, (count + 1, n + 1))
+    sums = _take(out, (count + 1, n + 1))
     sums[:, 0] = sums[-1] = 0.0  # column 0: empty prefix
     sums[:-1, 1:] = y[:count * n].reshape(count, n)
     sums[-1, 1:y.size - count * n + 1] = y[count * n:]
     np.cumsum(sums, axis=1, out=sums)
-    windows = _take(windows_buffer, (count, n))
+    windows = _take(None if out is None else out[sums.size:], (count, n))
     np.subtract(sums[:-1, -1:], sums[:-1, :-1], out=windows)
     windows += sums[1:, :-1]
     means = windows.reshape(-1)[: y.size - n + 1]
@@ -155,14 +155,11 @@ def residual_series(
 
     ``means`` are the averages :func:`moving_average` gives at cfg.n, the
     same for every theta; without them, they are formed here.  The
-    residuals go to ``out``, a flat float buffer, if given; else over the
-    means when they were formed here, else to a fresh array.
+    residuals go to ``out``, a flat float buffer, if given, else to a fresh array.
     """
     y = np.asarray(profile_values, dtype=float)
     n = cfg.n
-    if means is None:
-        means = moving_average(y, cfg)
-        out = means if out is None else out
+    means = moving_average(y, cfg) if means is None else means
     future = cfg.future_points
     # domain of i is [n - future, N - future] (1-based)
     return np.subtract(y[n - future - 1: y.size - future], means, out=_take(out, means.shape))
@@ -269,13 +266,13 @@ def _fluctuation_tables(grid, qs, segment_rms_at, scratch=None) -> list[Fluctuat
     ``segment_rms_at(n)`` lists the per-segment RMS values F_v(n) of each
     estimator at scale n; each row of a table is their power means, formed
     in ``scratch``, if given: a flat buffer free once every F_v(n) exists.
-    The first zero-RMS segment stops the pass: its error is the first
-    listed estimator's at the first scale where any has one.
+    The first non-finite F_v or zero-RMS segment stops the pass: its error
+    is the first listed estimator's at the first scale where any has one.
     """
     qgrid = as_q_grid(qs)
     # each scale's F_v(n) are freed once their rows are formed, before the next scale's
-    rows = [[_power_mean(values, qgrid.values, n, out=scratch) for values in segment_rms_at(n)]
-            for n in grid.values.tolist()]
+    rows = [[_power_mean(SegmentFluctuations(values, n).values, qgrid.values, n, out=scratch)
+             for values in segment_rms_at(n)] for n in grid.values.tolist()]
     return [FluctuationTable(grid, qgrid, np.array(table)) for table in zip(*rows)]
 
 
@@ -308,20 +305,19 @@ def _mfdma_tables_1d(series, scales, qs, thetas) -> list[FluctuationTable]:
     values = _as_values(series, 1)
     grid = _validate_scales(scales, values.shape)
     y = _compensated_cumsum(values)
-    # one workspace for the pass: the largest scale has the most block sums, at least N + 1;
-    # once the averages exist, every theta's residuals and squares go to the block sums' buffer
-    sums = max((y.size // n + 1) * (n + 1) for n in grid.values.tolist())
-    workspace = (np.empty(sums), np.empty(y.size))
+    # one workspace for the pass: the largest scale's block sums, at least N + 1, then N averages;
+    # every theta's residuals and squares go over the block sums, the power means over it all
+    workspace = np.empty(max((y.size // n + 1) * (n + 1) for n in grid.values.tolist()) + y.size)
 
     def rms_at(n):
         means = moving_average(y, DetrendConfig(n), out=workspace)
         rms = []
         for theta in thetas:
-            resid = residual_series(y, DetrendConfig(n, theta), out=workspace[0], means=means)
+            resid = residual_series(y, DetrendConfig(n, theta), out=workspace, means=means)
             rms.append(segment_rms(resid, n, out=resid))
         return rms
 
-    return _fluctuation_tables(grid, qs, rms_at, workspace[1])
+    return _fluctuation_tables(grid, qs, rms_at, workspace)
 
 
 def _line_residuals(segments: np.ndarray, *, out=None) -> np.ndarray:

@@ -41,11 +41,13 @@ FLOAT_MAX = float(np.finfo(np.float64).max)  # a Python float: it compares exact
 MAX_VALUES = np.iinfo(np.intp).max // 8  # numpy describes no larger float64 array
 
 
-def _shown(value) -> str:
-    """``str(value)`` for a message; an int past Python's 4,300-digit limit is shown by its size."""
+def _shown(value, show=str) -> str:
+    """``show(value)`` for a message; an int past Python's 4,300-digit limit is shown by its size."""
     try:
-        return str(value)
+        return show(value)
     except ValueError:
+        if not isinstance(value, numbers.Integral):  # a container that holds one
+            return f"a {type(value).__name__} holding an integer too long to print"
         return f"{'a negative' if value < 0 else 'an'} integer of {int(value).bit_length()} bits"
 
 
@@ -63,7 +65,7 @@ def _whole(label: str, value, minimum: int) -> int:
 def _real(label: str, value, low=None, high=None, strict: bool = False):
     """``value`` unchanged: a finite real, not a bool, in [low, high], or (low, high) if ``strict``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValidationError(f"{label} must be a real number, got {value!r}")
+        raise ValidationError(f"{label} must be a real number, got {_shown(value, repr)}")
     if low is not None and not (low < value < high if strict else low <= value <= high):
         interval = f"strictly inside ({low}, {high})" if strict else f"in [{low}, {high}]"
         raise ValidationError(f"{label} must lie {interval}, got {_shown(value)}")
@@ -75,7 +77,10 @@ def _real(label: str, value, low=None, high=None, strict: bool = False):
 
 def _array(label: str, values, ndim: int) -> np.ndarray:
     """``values`` as a float64 array: integers or floats, ``ndim`` axes, at least one, all finite."""
-    v = np.asarray(values)
+    try:
+        v = np.asarray(values)
+    except ValueError:  # numpy's message for a ragged nesting names no argument
+        raise ValidationError(f"{label} must be an array of one shape, got a ragged nesting") from None
     if v.dtype.kind not in "iuf":  # not bool, complex, text or object
         raise ValidationError(f"{label} must hold real numbers, got dtype {v.dtype}")
     if v.ndim != ndim:

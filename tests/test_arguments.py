@@ -152,8 +152,10 @@ LONG_TEXT = "an integer of 16610 bits"
                                         "got a negative integer of 16610 bits"),
     (lambda: AnalysisConfig(legendre_half_window=LONG),
      f"need at least an integer of 16611 bits q points for half_window={LONG_TEXT}"),
+    (lambda: build_q_grid((LONG,), 1, 0.1),
+     "q_min must be a real number, got a tuple holding an integer too long to print"),
 ], ids=["q-min", "q-step", "n-max", "count", "levels", "window-size", "theta", "seed",
-        "half-window"])
+        "half-window", "q-min-tuple"])
 def test_a_number_too_long_to_print_is_named_by_its_size(call, message):
     # each message was a ValueError of its own, from str of the number
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
@@ -178,9 +180,9 @@ NOISE = np.random.default_rng(5).standard_normal(256)
     (lambda: QGrid(np.array([[0.0, 1.0]])), "q grid must be one-dimensional, got shape (1, 2)"),
     # were accepted, and their power means nan or finite
     (lambda: SegmentFluctuations([1.0, np.nan], 4),
-     "segment fluctuations contains a non-finite value at index 1"),
+     "segment fluctuations at scale n=4 contains a non-finite value at index 1"),
     (lambda: SegmentFluctuations([1.0, np.inf], 4),
-     "segment fluctuations contains a non-finite value at index 1"),
+     "segment fluctuations at scale n=4 contains a non-finite value at index 1"),
     (lambda: FluctuationTable(ESTIMATE_TABLE.scales, ESTIMATE_TABLE.qs, np.full((3, 11), np.nan)),
      "fluctuation table contains a non-finite value at index 0"),
     (lambda: FluctuationTable(ESTIMATE_TABLE.scales, ESTIMATE_TABLE.qs, np.ones(33)),
@@ -190,6 +192,9 @@ NOISE = np.random.default_rng(5).standard_normal(256)
     (lambda: Surface(np.ones((8, 8), dtype=bool)), "surface must hold real numbers, got dtype bool"),
     (lambda: Series([1.0, 10**30]), "series must hold real numbers, got dtype object"),
     (lambda: Surface(np.ones((0, 4))), "surface is empty"),
+    # numpy's own ValueError named no argument
+    (lambda: Series([[1.0, 2.0], [3.0]]), "series must be an array of one shape, got a ragged nesting"),
+    (lambda: QGrid([[1.0], 2.0]), "q grid must be an array of one shape, got a ragged nesting"),
     # a long double past float64's range casts to inf, with a warning unless silenced
     pytest.param(lambda: Series(np.array([1, 2 * np.longdouble(FLOAT_MAX)])),
                  "series contains a non-finite value at index 1",
@@ -200,8 +205,8 @@ NOISE = np.random.default_rng(5).standard_normal(256)
      "analytic tau contains a non-finite value at index 0"),
 ], ids=["scales-inf", "scales-1e30", "estimator-scales-1e30", "scales-int64-2**60", "scales-text",
         "estimator-qs-text", "qs-2d", "segments-nan", "segments-inf", "table-nan", "table-1d",
-        "series-complex", "surface-bool", "series-object", "surface-empty",
-        "series-long-double-overflow", "analytic-tau-nan"])
+        "series-complex", "surface-bool", "series-object", "surface-empty", "series-ragged",
+        "qs-ragged", "series-long-double-overflow", "analytic-tau-nan"])
 def test_an_array_argument_is_finite_real_numbers_of_its_shape(call, message):
     # pyproject's filterwarnings makes any warning on the way fail the test
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):

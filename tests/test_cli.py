@@ -750,23 +750,44 @@ def test_a_noise_length_numpy_cannot_index_is_a_validation_error(tmp_path, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("mode, shape", [("series", (4096,)), ("surface", (64, 64))],
-                         ids=["series", "surface"])
-def test_data_whose_fluctuations_overflow_exits_2_without_a_traceback(mode, shape, tmp_path):
-    # the block squares overflow to inf and the power means to nan; the nan h(q) this gave
-    # was a traceback and exit 1 in the printed table.  numpy's RuntimeWarnings may come first
-    path = tmp_path / "huge.csv"
-    np.savetxt(path, 1e300 * np.random.default_rng(0).standard_normal(shape), delimiter=",")
+def _times_1e300(seed, shape, tail):
+    """Seeded standard normals whose last ``tail`` along every axis are 1e300 times larger."""
+    values = np.random.default_rng(seed).standard_normal(shape)
+    values[(slice(-tail, None),) * len(shape)] *= 1e300
+    return values
+
+
+NEGATIVE_Q = ["--q-min", "-4", "--q-max", "-1", "--q-step", "0.5"]
+
+
+@pytest.mark.parametrize("args, values, first_scale", [
+    (["analyze"], _times_1e300(0, (4096,), 4096), 10),
+    (["analyze", "--mode", "surface"], _times_1e300(0, (64, 64), 64), 8),
+    # an infinite F_v adds 0 to every moment with q < 0, so these exited 0 with a finite h(q)
+    (["analyze", *NEGATIVE_Q], _times_1e300(0, (4096,), 64), 10),
+    (["analyze", "--method", "mfdfa", *NEGATIVE_Q], _times_1e300(0, (4096,), 64), 10),
+    (["compare", "--analytic-p1", "0.3", *NEGATIVE_Q], _times_1e300(0, (4096,), 64), 10),
+    (["analyze", "--mode", "surface", *NEGATIVE_Q], _times_1e300(1, (64, 64), 4), 8),
+], ids=["series", "surface", "negative-q", "negative-q-mfdfa", "negative-q-compare",
+        "negative-q-surface"])
+def test_data_whose_fluctuations_overflow_exits_2_without_a_traceback(
+    args, values, first_scale, tmp_path
+):
+    # the block squares overflow to inf, and the first scale's F_v are refused before any
+    # power mean.  The child process keeps numpy's one RuntimeWarning from being an error
+    path = tmp_path / "data.csv"
+    np.savetxt(path, values, delimiter=",")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(Path(mfdma.__file__).parents[1]),
                                                        os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-m", "mfdma", "analyze", "--mode", mode, "--input", str(path),
+        [sys.executable, "-m", "mfdma", *args, "--input", str(path),
          "--out-dir", str(tmp_path / "out")],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 2, done.stderr
     assert done.stderr.splitlines()[-1].startswith(
-        "error: fluctuation table contains a non-finite value at index ")
+        f"error: segment fluctuations at scale n={first_scale} contains a non-finite value ")
+    assert done.stderr.count("RuntimeWarning") == 1, done.stderr
     assert "Traceback" not in done.stderr
     assert not (tmp_path / "out").exists()
 

@@ -216,8 +216,8 @@ def test_segment_rms_rejects_oversize_blocks():
 
 
 @pytest.mark.parametrize("values, message", [
-    ([], "^segment fluctuations is empty$"),
-    ([[1.0]], r"^segment fluctuations must be one-dimensional, got shape \(1, 1\)$"),
+    ([], "^segment fluctuations at scale n=4 is empty$"),
+    ([[1.0]], r"^segment fluctuations at scale n=4 must be one-dimensional, got shape \(1, 1\)$"),
     ([1.0, -0.5], "cannot be negative"),
 ], ids=["empty", "2-d", "negative"])
 def test_segment_fluctuations_are_a_non_empty_row_of_non_negative_values(values, message):

@@ -172,10 +172,13 @@ def test_white_noise_weights_make_the_2d_residual_maps(n):
 
 
 @pytest.mark.parametrize(
-    "theta, q", [(theta, q) for q in (2.0, 4.0) for theta in (0.0, 0.5, 1.0, None)],
-    ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4"],
+    "theta, q", [(theta, q) for q in (2.0, 4.0, -2.0, -4.0) for theta in (0.0, 0.5, 1.0, None)],
+    ids=["0", "0.5", "1", "mfdfa", "0-q4", "0.5-q4", "1-q4", "mfdfa-q4",
+         "0-q-2", "0.5-q-2", "1-q-2", "mfdfa-q-2", "0-q-4", "0.5-q-4", "1-q-4", "mfdfa-q-4"],
 )
 def test_white_noise_f2_has_its_exact_expectation_2d(theta, q):
+    # the block matrices have rank 16, 36, 64 (MFDMA) and 13, 33, 61 (MFDFA), all above 8,
+    # so F_v^-2 and F_v^-4 have finite variance at every scale
     if theta is None:
         estimate = functools.partial(mfdfa_fluctuations_2d, scales=NOISE_SCALES_2D, qs=[q])
         blocks = [reference.white_noise_weights_mfdfa_2d(n) for n in NOISE_SCALES_2D]
