@@ -111,9 +111,12 @@ def profile(series) -> np.ndarray:
     return _compensated_cumsum(_as_values(series, 1, min_side=1))
 
 
-def _take(buffer, shape) -> np.ndarray:
-    """A fresh array of ``shape``, or a C-contiguous view at the start of the flat ``buffer``."""
-    return np.empty(shape) if buffer is None else buffer[:math.prod(shape)].reshape(shape)
+def _take(buffer, *shapes):
+    """Fresh arrays of ``shapes``, or C-contiguous views carved in order from the flat ``buffer``."""
+    ends = np.cumsum([0, *map(math.prod, shapes)])
+    views = [np.empty(shape) if buffer is None else buffer[at:end].reshape(shape)
+             for shape, at, end in zip(shapes, ends, ends[1:])]
+    return views if len(views) > 1 else views[0]
 
 
 def moving_average(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) -> np.ndarray:
@@ -136,12 +139,11 @@ def moving_average(profile_values: np.ndarray, cfg: DetrendConfig, *, out=None) 
     if n > y.size:
         raise ValidationError(f"window size {n} exceeds series length {y.size}")
     count = y.size // n  # whole blocks; the zero-padded partial one follows
-    sums = _take(out, (count + 1, n + 1))
+    sums, windows = _take(out, (count + 1, n + 1), (count, n))
     sums[:, 0] = sums[-1] = 0.0  # column 0: empty prefix
     sums[:-1, 1:] = y[:count * n].reshape(count, n)
     sums[-1, 1:y.size - count * n + 1] = y[count * n:]
     np.cumsum(sums, axis=1, out=sums)
-    windows = _take(None if out is None else out[sums.size:], (count, n))
     np.subtract(sums[:-1, -1:], sums[:-1, :-1], out=windows)
     windows += sums[1:, :-1]
     means = windows.reshape(-1)[: y.size - n + 1]
@@ -330,7 +332,7 @@ def _line_residuals(segments: np.ndarray, *, out=None) -> np.ndarray:
     count, n = segments.shape
     uc = np.arange(n, dtype=float) - (n - 1) / 2
     slope = segments @ uc / float(np.dot(uc, uc))
-    resid, slope_terms = _take(out, (2, count, n))
+    resid, slope_terms = _take(out, (count, n), (count, n))
     np.subtract(segments, segments.mean(axis=1)[:, None], out=resid)
     return np.subtract(resid, np.multiply(slope[:, None], uc, out=slope_terms), out=resid)
 

@@ -159,14 +159,12 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
     A plain ndarray is checked in full on every call, so a strip-by-strip
     caller passes a ``Surface`` (checked once), as ``_mfdma_tables_2d`` does.
 
-    ``out``, if given, holds four flat float buffers: ``total`` and
-    ``cummean`` are views at the starts of the first two, each at least
-    as long as the rows formed, and the strips are views into the other
-    two, each at least min(stop - first, RECOMPUTE_EVERY) * N2 + 1 long:
-    one spare element before a strip's rows.  Nothing past those lengths
-    is written.  The strips are scratch: the lanes past each row's last
-    window end up holding differences and -n multiples of row sums, which
-    nothing reads.
+    ``out``, if given, is a flat float buffer carved in order into
+    ``total``, ``cummean`` and two strips of min(stop - first,
+    RECOMPUTE_EVERY) * N2 + 1 values each: one spare element before a
+    strip's rows.  Nothing past them is written.  The strips are scratch:
+    the lanes past each row's last window end up holding differences and
+    -n multiples of row sums, which nothing reads.
     """
     values = _as_values(surface, 2, min_side=1)
     n1, n2 = cfg.n1, cfg.n2
@@ -177,7 +175,7 @@ def window_aggregates(surface, cfg: DetrendConfig2D, *, out=None, rows=None) -> 
         raise ValidationError(f"window rows {first}:{stop} do not start a strip of the surface")
     shape = (stop - first, values.shape[1] - n2 + 1)
     strip = (min(shape[0], RECOMPUTE_EVERY) * values.shape[1] + 1,)
-    total, cummean, flat, ramp = map(_take, out or (None,) * 4, (shape, shape, strip, strip))
+    total, cummean, flat, ramp = _take(out, shape, shape, strip, strip)
     for start in range(0, shape[0], RECOMPUTE_EVERY):
         part = slice(start, start + RECOMPUTE_EVERY)
         _strip_sums(values[first + start:], n1, n2, flat, ramp, total[part], cummean[part])
@@ -229,15 +227,16 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     """The table of :func:`mfdma_fluctuations_2d` at each of ``thetas``, from one pass.
 
     Per scale, the window aggregates, the same for every theta, are formed
-    once, a strip of span = min(N1 - n + 1, RECOMPUTE_EVERY) rows at a
-    time.  Each scale keeps one line layout in the pass's window buffer:
-    line keep - start + j holds the window sums of row j, and line span
+    once, a strip of r <= span = min(N1 - n + 1, RECOMPUTE_EVERY) rows at a
+    time.  Each scale keeps one line layout in the pass's one workspace
+    array: line keep - start + j holds the window sums of row j, and line r
     further on its window means, keep being the largest row shift d1 of any
-    theta.  Before each strip, lines [span, span + keep), the last keep rows
-    of window sums, move to the front.  After it, each theta sends the
-    residual rows j whose shifted mean row j + d1 the strip holds through its
-    residuals and block RMS, whose carry keeps the row sums of an unfinished
-    block row for the next strip: the only state a theta keeps.
+    theta; the strip's scratch follows.  Before each strip, lines [span,
+    span + keep), the last keep rows of window sums, move to the front.
+    After it, each theta writes the residual rows j whose shifted mean row
+    j + d1 the strip holds over that scratch and sends them through its block
+    RMS, whose carry keeps the row sums of an unfinished block row for the
+    next strip: the only state a theta keeps.
     """
     # a Surface is checked once here, not again by every window_aggregates call
     surface = surface if isinstance(surface, Surface) else Surface(surface)
@@ -245,43 +244,36 @@ def _mfdma_tables_2d(surface, scales, qs, thetas) -> list[FluctuationTable]:
     grid = _validate_scales(scales, values.shape)
     (N1, N2), ns = values.shape, grid.values.tolist()
 
-    def reach(n):  # the largest row shift of any theta at scale n
-        return max(DetrendConfig2D(n, n, theta).shifts[0] for theta in thetas)
+    def layout(n):  # window rows and columns, the largest row shift of any theta, rows per strip
+        keep = max(DetrendConfig2D(n, n, theta).shifts[0] for theta in thetas)
+        return N1 - n + 1, N2 - n + 1, keep, min(N1 - n + 1, RECOMPUTE_EVERY)
 
-    def height(n):  # the window rows of a strip at scale n
-        return min(N1 - n + 1, RECOMPUTE_EVERY)
-
-    # one workspace for the pass, also big enough for the power means of the smallest scale
-    window = max((reach(n) + 2 * height(n)) * (N2 - n + 1) for n in ns)
-    window = max(window, (N1 // ns[0]) * (N2 // ns[0]))
-    strip = height(ns[0]) * N2 + 1
-    # once a strip is formed, the first strip buffer takes every theta's new residual rows
-    workspace = tuple(np.empty(size) for size in (window, strip, strip))
+    # one workspace for the pass: any scale's window lines and two strips, or the smallest's power means
+    sizes = [(keep + 2 * span) * cols + 2 * (span * N2 + 1) for _, cols, keep, span in map(layout, ns)]
+    workspace = np.empty(max(*sizes, (N1 // ns[0]) * (N2 // ns[0])))
 
     def rms_at(n):
-        rows, cols, keep, span = N1 - n + 1, N2 - n + 1, reach(n), height(n)
-        flat = workspace[0]  # 1-d, so the overlapping move needs no copy
-        lines = flat[:window // cols * cols].reshape(-1, cols)
+        rows, cols, keep, span = layout(n)
+        lines = workspace[:workspace.size // cols * cols].reshape(-1, cols)
         cfgs = [DetrendConfig2D(n, n, theta) for theta in thetas]
         parts, carries = [[] for _ in cfgs], [[] for _ in cfgs]
         for start in range(0, rows, RECOMPUTE_EVERY):
             stop = min(start + RECOMPUTE_EVERY, rows)
-            flat[:keep * cols] = flat[span * cols:(span + keep) * cols]
+            workspace[:keep * cols] = workspace[span * cols:(span + keep) * cols]  # 1-d: no copy
             window_aggregates(surface, DetrendConfig2D(n, n), rows=(start, stop),
-                              out=(lines[keep:].reshape(-1), lines[keep + span:].reshape(-1),
-                                   *workspace[1:]))
+                              out=workspace[keep * cols:])
             for cfg, rms, carry in zip(cfgs, parts, carries):
                 d1, d2 = cfg.shifts
                 first, last = max(start - d1, 0), stop - d1  # the new residual rows
                 if last > first:
-                    lo, hi = keep - start + first, keep - start + stop
-                    aggregates = WindowAggregates2D(lines[lo:hi], lines[lo + span:hi + span], n, n)
-                    out = _take(workspace[1], (last - first, cols))[:, :cols - d2]
+                    lo, hi, r = keep - start + first, keep - start + stop, stop - start
+                    aggregates = WindowAggregates2D(lines[lo:hi], lines[lo + r:hi + r], n, n)
+                    out = lines[hi + r:hi + r + last - first, :cols - d2]
                     resid = residual_matrix_2d(aggregates, cfg, out=out)
                     rms.append(segment_rms_2d(resid, n, out=resid, carry=carry))
         return [np.concatenate(rms) for rms in parts]
 
-    return _fluctuation_tables(grid, qs, rms_at, workspace[0])
+    return _fluctuation_tables(grid, qs, rms_at, workspace)
 
 
 def _plane_residuals(blocks: np.ndarray) -> np.ndarray:

@@ -182,16 +182,15 @@ def test_window_aggregates_write_nothing_past_the_documented_out_sizes(rng, coun
     cfg = DetrendConfig2D(n1, n2)
     first, stop = (RECOMPUTE_EVERY, height) if rows else (0, height)
     strip = min(stop - first, RECOMPUTE_EVERY) * values.shape[1] + 1
-    sizes = [(stop - first) * count] * 2 + [strip] * 2
+    size = 2 * (stop - first) * count + 2 * strip
     # NaN everywhere: a read of anything the kernel did not write first shows in the results
-    out = [np.full(size + SENTINELS, np.nan) for size in sizes]
+    out = np.full(size + SENTINELS, np.nan)
     agg = window_aggregates(values, cfg, out=out, rows=rows and (first, stop))
-    for buffer, size in zip(out, sizes):
-        assert np.isnan(buffer[size:]).all()
+    assert np.isnan(out[size:]).all()
     fresh = window_aggregates(values, cfg, rows=rows and (first, stop))
     assert agg.total.tobytes() == fresh.total.tobytes()
     assert agg.cummean.tobytes() == fresh.cummean.tobytes()
-    assert np.shares_memory(agg.total, out[0]) and np.shares_memory(agg.cummean, out[1])
+    assert np.shares_memory(agg.total, out) and np.shares_memory(agg.cummean, out)
 
 
 def test_window_aggregates_reject_oversize_window():
@@ -406,12 +405,13 @@ BANDED_SHAPE, BANDED_SCALES = (600, 530), build_scale_grid(2, 132, 12)
 # the largest shift need not come last; at scales up to 4 the pass's workspace
 # is sized by the power means of the smallest scale, not by its row window; at
 # 100 x 90 every scale has fewer window rows than a strip, and at 200 x 180 the
-# 156 window rows of n = 45 are more than a strip but fewer than a strip plus 44
+# 156 window rows of n = 45 are more than a strip but fewer than a strip plus 44;
+# at 136 x 50 the last strip of n = 8 holds one window row, with a row shift of 7 at theta 1
 @pytest.mark.parametrize(
     "shape, scales",
     [(BANDED_SHAPE, BANDED_SCALES), (BANDED_SHAPE, [2, 3, 4]),
-     ((100, 90), [2, 5, 11, 22]), ((200, 180), [2, 7, 20, 45])],
-    ids=["to-cap", "small", "under-a-strip", "under-a-strip-plus-shift"],
+     ((100, 90), [2, 5, 11, 22]), ((200, 180), [2, 7, 20, 45]), ((136, 50), [2, 8, 9])],
+    ids=["to-cap", "small", "under-a-strip", "under-a-strip-plus-shift", "one-row-last-strip"],
 )
 @pytest.mark.parametrize("thetas", [[0.0], [0.5], [1.0], THETAS, THETAS[::-1]], ids=str)
 def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, shape, scales):
