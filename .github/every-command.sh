@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Runs each kind of mfdma command once on small inputs, in the current
 # directory: generate (all three kinds), analyze (json, csv-set and
-# plot-data), surrogate, compare (series and surface) and oracle (to stdout
-# and to a file).
+# plot-data), surrogate, compare (series and surface, each in the mode its
+# reference implies) and oracle (to stdout and to a file).
 # The files it leaves there (measure.csv, surface.csv, noise.csv and the
 # output trees) are read by later steps.
 #
@@ -17,6 +17,6 @@ mfdma analyze --mode surface --input surface.csv --out-dir surface --format csv-
 mfdma analyze --input noise.csv --method mfdfa --format plot-data --out-dir noise
 mfdma surrogate --input noise.csv --seed 1 --out-dir surrogate
 mfdma compare --analytic-p1 0.3 --input measure.csv --out-dir compare
-mfdma compare --mode surface --analytic-weights 0.1,0.2,0.3,0.4 --input surface.csv --out-dir compare-surface
+mfdma compare --analytic-weights 0.1,0.2,0.3,0.4 --input surface.csv --out-dir compare-surface
 mfdma oracle --p1 0.3 --q-step 1
 mfdma oracle --weights 0.1,0.2,0.3,0.4 --q-step 1 --out oracle.csv

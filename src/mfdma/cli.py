@@ -85,11 +85,13 @@ def _parse_weights(text: str) -> tuple[float, ...]:
         raise ValidationError(f"weights must be comma-separated numbers, got {text!r}")
 
 
-def _cascade_weights(p1, weights_text):
-    """The checked weights of the cascade named by a p1 (binomial) or four weights (square)."""
+def _reference(command, p1, weights_text, flags):
+    """The checked weights of exactly one of a p1 (binomial) or four weights, and the mode they fit."""
+    if (p1 is None) == (weights_text is None):
+        raise ValidationError(f"{command} needs exactly one of {flags[0]} or {flags[1]}")
     if p1 is None:
-        return _check_weights(_parse_weights(weights_text), (4,))
-    return _binomial_weights(p1)
+        return _check_weights(_parse_weights(weights_text), (4,)), "surface"
+    return _binomial_weights(p1), "series"
 
 
 # the analysis flags are the AnalysisConfig fields: --field-name, except these
@@ -196,17 +198,14 @@ def cmd_compare(args) -> int:
     for name in ("method", "theta"):
         if getattr(args, name) is not None or name in loaded:
             raise ValidationError(f"compare runs every method and theta, so --{name} is not taken")
-    if (args.analytic_p1 is None) == (args.analytic_weights is None):
-        raise ValidationError(
-            "compare needs exactly one analytic reference: --analytic-p1 or --analytic-weights"
-        )
-    cfg = _config(args, loaded)
-    flag, mode = ("p1", "series") if args.analytic_p1 is not None else ("weights", "surface")
+    flags = ("--analytic-p1", "--analytic-weights")
+    weights, mode = _reference("compare", args.analytic_p1, args.analytic_weights, flags)
+    cfg = _config(args, {"mode": mode, **loaded})  # the reference's mode, unless one is given
     if cfg.mode != mode:
-        raise ValidationError(f"--analytic-{flag} implies --mode {mode}")
+        raise ValidationError(f"{flags[mode == 'surface']} implies --mode {mode}")
     # the reference needs no data, so a bad one, or one that overflows, fails before the read
     qs = build_q_grid(cfg.q_min, cfg.q_max, cfg.q_step).values
-    tau_ref = analytic_tau(_cascade_weights(args.analytic_p1, args.analytic_weights), qs)
+    tau_ref = analytic_tau(weights, qs)
     data, digest = ingest_input(cfg)
     labels, methods, thetas = zip(*COMPARE_METHODS)
     bundles = dict(zip(labels, analyze_all(cfg, zip(methods, thetas), data, digest)))
@@ -238,11 +237,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if (args.p1 is None) == (args.weights is None):
-        raise ValidationError("oracle needs exactly one of --p1 or --weights")
+    weights, _ = _reference("oracle", args.p1, args.weights, ("--p1", "--weights"))
     grid = {k: DEFAULTS[k] if getattr(args, k) is None else getattr(args, k) for k in Q_FIELDS}
     qs = build_q_grid(**grid).values
-    weights = _cascade_weights(args.p1, args.weights)
     text = csv_table(
         ["q", "tau", "alpha", "f"],
         [qs] + [oracle(weights, qs) for oracle in (analytic_tau, analytic_alpha, analytic_f)],

@@ -17,7 +17,7 @@ import numpy as np
 
 from .exceptions import DegenerateSegmentError, ValidationError
 from .generators import Series, Surface
-from .spectrum import FluctuationTable, _array, _real, _whole, as_q_grid, as_scale_grid
+from .spectrum import FluctuationTable, QGrid, ScaleGrid, _array, _real, _whole
 
 __all__ = [
     "DetrendConfig",
@@ -254,7 +254,7 @@ def overall_fluctuation(segments: SegmentFluctuations, q: float) -> float:
 
 def _validate_scales(scales, shape):
     """The scale grid, whose largest scale may be at most min(shape) // 4."""
-    grid = as_scale_grid(scales)
+    grid = scales if isinstance(scales, ScaleGrid) else ScaleGrid(scales)
     cap = min(shape) // 4
     if grid.values[-1] > cap:
         raise ValidationError(f"largest scale {grid.values[-1]} exceeds the N/4 cap of {cap} "
@@ -271,7 +271,7 @@ def _fluctuation_tables(grid, qs, segment_rms_at, scratch=None) -> list[Fluctuat
     The first non-finite F_v or zero-RMS segment stops the pass: its error
     is the first listed estimator's at the first scale where any has one.
     """
-    qgrid = as_q_grid(qs)
+    qgrid = qs if isinstance(qs, QGrid) else QGrid(qs)
     # each scale's F_v(n) are freed once their rows are formed, before the next scale's
     rows = [[_power_mean(SegmentFluctuations(values, n).values, qgrid.values, n, out=scratch)
              for values in segment_rms_at(n)] for n in grid.values.tolist()]

@@ -143,14 +143,6 @@ class QGrid:
         return float(np.mean(d))
 
 
-def as_scale_grid(scales) -> ScaleGrid:
-    return scales if isinstance(scales, ScaleGrid) else ScaleGrid(scales)
-
-
-def as_q_grid(qs) -> QGrid:
-    return qs if isinstance(qs, QGrid) else QGrid(qs)
-
-
 @dataclass(frozen=True)
 class FluctuationTable:
     """F_q(n) over the (scale, q) grid; rows are scales, columns are q."""

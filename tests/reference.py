@@ -234,8 +234,10 @@ def white_noise_moment_1d(weights: np.ndarray, q: float) -> float:
     (1 + 2 lambda_k t)^(-1/2) dt / (m-1)! (Mathai & Provost, Quadratic Forms in
     Random Variables, 1992), finite when M has rank above 2m.  F_q(n)^q is the
     mean of F_v^q over the segments, so it has this expectation at every N.
+    W W' / n, n x n however many inputs a row weighs, has every nonzero
+    eigenvalue of M, and so its trace and tr(M^2), and stands in for it.
     """
-    m = weights.T @ weights / len(weights)
+    m = weights @ weights.T / len(weights)
     if q == 2:
         return float(np.trace(m))
     if q == 4:

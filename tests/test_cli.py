@@ -317,6 +317,38 @@ def test_compare_reference_must_fit_the_mode(mode, flag, value, tmp_path, capsys
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("mode", ["series", "surface"])
+def test_compare_takes_its_mode_from_its_reference(mode, measure_file, tmp_path, capsys):
+    from mfdma import CascadeSpec2D, cascade_measure_2d, write_surface_csv
+
+    if mode == "series":
+        path, reference, grid = measure_file, ["--analytic-p1", "0.3"], GRID
+    else:
+        path = tmp_path / "surface.csv"
+        write_surface_csv(cascade_measure_2d(CascadeSpec2D((0.1, 0.2, 0.3, 0.4), 6)), path)
+        reference = ["--analytic-weights", "0.1,0.2,0.3,0.4"]
+        grid = ["--n-min", "2", "--n-max", "16", "--n-count", "5", "--q-step", "1"]
+    argv = ["compare", "--input", str(path)] + reference + grid
+    assert main(argv + ["--mode", mode, "--out-dir", str(tmp_path / "given")]) == 0
+    given = capsys.readouterr().out
+    assert main(argv + ["--out-dir", str(tmp_path / "derived")]) == 0
+    derived = capsys.readouterr().out
+    assert derived == given.replace(str(tmp_path / "given"), str(tmp_path / "derived"))
+    assert _tree(tmp_path / "derived") == _tree(tmp_path / "given")
+    # a --config mode that disagrees is refused as the flag is
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"mode": "surface" if mode == "series" else "series"}))
+    assert main(argv + ["--config", str(config), "--out-dir", str(tmp_path / "config")]) == 2
+    assert capsys.readouterr().err == f"error: {reference[0]} implies --mode {mode}\n"
+    assert not (tmp_path / "config").exists()
+
+
+def test_compare_names_a_bad_reference_before_a_bad_config_value(measure_file, capsys):
+    argv = ["compare", "--input", str(measure_file), "--analytic-weights", "0.5,0.5,0.5,0.5"]
+    assert main(argv + ["--q-step", "nan"]) == 2
+    assert capsys.readouterr().err == "error: weights must sum to 1 within 1e-12, got 2.0\n"
+
+
 @pytest.mark.parametrize("command, rows", [
     (["analyze"], 9),  # the summary prints 9 picked rows
     (["compare", "--analytic-p1", "0.3"], 31),  # the delta tau table prints every q

@@ -32,7 +32,6 @@ from mfdma import (
 from mfdma import dma1d
 from mfdma.dma1d import SegmentFluctuations, _compensated_cumsum, _power_mean
 from mfdma.pipeline import AnalysisConfig, _resolve_grids
-from mfdma.spectrum import as_scale_grid
 import reference
 from reference import exact_window_mean, scalar_power_mean, window_mean
 
@@ -463,7 +462,7 @@ def test_pass_workspace_is_bitwise_the_allocating_functions(theta, scales):
     values = gaussian_noise(10_007, seed=3).values
     y = profile(values)
     expected = dma1d._fluctuation_tables(
-        as_scale_grid(scales), WORKSPACE_QS,
+        dma1d._validate_scales(scales, values.shape), WORKSPACE_QS,
         lambda n: [segment_rms(residual_series(y, DetrendConfig(n, theta)), n)],
     )[0]
     table = mfdma_fluctuations_1d(values, scales, WORKSPACE_QS, theta)

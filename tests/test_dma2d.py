@@ -6,6 +6,7 @@ import pytest
 from mfdma import (
     DegenerateSegmentError,
     DetrendConfig2D,
+    ScaleGrid,
     Surface,
     ValidationError,
     build_q_grid,
@@ -20,7 +21,6 @@ from mfdma import (
 from mfdma import dma1d, dma2d
 from mfdma.dma2d import RECOMPUTE_EVERY, _plane_residuals
 from mfdma.pipeline import AnalysisConfig, _resolve_grids
-from mfdma.spectrum import as_scale_grid
 
 
 def naive_aggregates(values, n1, n2):
@@ -402,16 +402,19 @@ def test_pass_peak_memory_on_the_default_q_grid(rng, estimator, bound):
 BANDED_SHAPE, BANDED_SCALES = (600, 530), build_scale_grid(2, 132, 12)
 
 
-# the largest shift need not come last; at scales up to 4 the pass's workspace
-# is sized by the power means of the smallest scale, not by its row window; at
-# 100 x 90 every scale has fewer window rows than a strip, and at 200 x 180 the
-# 156 window rows of n = 45 are more than a strip but fewer than a strip plus 44;
-# at 136 x 50 the last strip of n = 8 holds one window row, with a row shift of 7 at theta 1
+# the largest shift need not come last; at 2400 x 16 the pass's workspace is
+# sized by the smallest scale's power means, 9,600 values, not by the 7,938 to
+# 7,953 of any scale's window lines (at 600 x 530 these need 271,106 to 272,175
+# and the power means 79,500); at 100 x 90 every scale has fewer window rows
+# than a strip, and at 200 x 180 the 156 window rows of n = 45 are more than a
+# strip but fewer than a strip plus 44; at 136 x 50 the last strip of n = 8
+# holds one window row, with a row shift of 7 at theta 1
 @pytest.mark.parametrize(
     "shape, scales",
-    [(BANDED_SHAPE, BANDED_SCALES), (BANDED_SHAPE, [2, 3, 4]),
+    [(BANDED_SHAPE, BANDED_SCALES), (BANDED_SHAPE, [2, 3, 4]), ((2400, 16), [2, 3, 4]),
      ((100, 90), [2, 5, 11, 22]), ((200, 180), [2, 7, 20, 45]), ((136, 50), [2, 8, 9])],
-    ids=["to-cap", "small", "under-a-strip", "under-a-strip-plus-shift", "one-row-last-strip"],
+    ids=["to-cap", "small", "power-mean-sized", "under-a-strip", "under-a-strip-plus-shift",
+         "one-row-last-strip"],
 )
 @pytest.mark.parametrize("thetas", [[0.0], [0.5], [1.0], THETAS, THETAS[::-1]], ids=str)
 def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, shape, scales):
@@ -423,7 +426,7 @@ def test_the_banded_pass_is_bitwise_the_whole_surface_composition(rng, thetas, s
         return [segment_rms_2d(residual_matrix_2d(aggregates, cfg), n)
                 for cfg in (DetrendConfig2D(n, n, theta) for theta in thetas)]
 
-    expected = dma1d._fluctuation_tables(as_scale_grid(scales), qs, rms_at)
+    expected = dma1d._fluctuation_tables(dma1d._validate_scales(scales, values.shape), qs, rms_at)
     tables = dma2d._mfdma_tables_2d(values, scales, qs, thetas)
     for table, reference in zip(tables, expected, strict=True):
         assert table.values.tobytes() == reference.values.tobytes()
@@ -503,11 +506,17 @@ def test_plane_residuals_remove_exact_planes():
     assert np.array_equal(resid, np.zeros_like(resid))
 
 
-def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng):
+# at 300 x 517 a band of cumulative sums sizes the pass's workspace; at 2400 x 16
+# the smallest scale's power means, 9,600 values, against a band's 2,048
+@pytest.mark.parametrize(
+    "shape, scales",
+    [((300, 517), build_scale_grid(4, 75, 10)), ((2400, 16), ScaleGrid([2, 3, 4]))],
+    ids=["band-sized", "power-mean-sized"],
+)
+def test_mfdfa2d_planes_in_the_pass_buffer_are_bitwise_fresh_arrays(rng, shape, scales):
     # each band of block rows is detrended in the pass's workspace; the
     # block RMS must read what fresh arrays in the same layout would give
-    values = rng.standard_normal((300, 517))
-    scales = build_scale_grid(4, 75, 10)
+    values = rng.standard_normal(shape)
     qs = [-3.0, 0.0, 2.0]
 
     def band_rms(band, n):  # band: (rows, n, columns, n)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mfdma import (
+    build_scale_grid,
     mfdfa_fluctuations_1d,
     mfdfa_fluctuations_2d,
     mfdma_fluctuations_1d,
@@ -12,6 +13,7 @@ from mfdma import (
 )
 from mfdma import dma1d, dma2d
 from mfdma.dma2d import RECOMPUTE_EVERY
+from mfdma.pipeline import SCALE_DEFAULTS
 
 import reference
 
@@ -137,6 +139,42 @@ def test_white_noise_f2_has_its_exact_expectation_1d(theta, q):
     mean, se = ratios.mean(axis=0), ratios.std(axis=0, ddof=1) / np.sqrt(len(NOISE_SEEDS))
     assert np.all(se < NOISE_SE_BOUND[q]), se  # enough power to tell a one-point shift
     assert np.all(np.abs(mean - 1) <= NOISE_K * se), (mean, se)
+
+
+# each estimator's exact large-N h(q) on white noise over the 1-d default grid, at
+# q = -4, -2, 2 and 4, to the 4 decimals the ROADMAP tabulates them to
+EXACT_H_QS = (-4.0, -2.0, 2.0, 4.0)
+EXACT_H = {
+    "backward": (0.5165, 0.5136, 0.5130, 0.5135),
+    "centred": (0.5072, 0.5032, 0.4989, 0.4980),
+    "mfdfa": (0.5173, 0.5102, 0.5024, 0.5007),
+}
+
+
+@pytest.mark.parametrize("estimator", EXACT_H)
+def test_white_noise_exact_h_over_the_default_grid(estimator):
+    # h(q) is the slope of ln E[F_v^q] / q on ln n, the limit of the fit as N grows
+    weights_at = {
+        "backward": functools.partial(reference.white_noise_segment_weights_mfdma_1d, theta=0.0),
+        "centred": functools.partial(reference.white_noise_segment_weights_mfdma_1d, theta=0.5),
+        "mfdfa": reference.white_noise_weights_mfdfa_1d,
+    }[estimator]
+    scales = build_scale_grid(*SCALE_DEFAULTS["series"]).values
+    moments = np.array([[reference.white_noise_moment_1d(weights_at(n), q)
+                         for q in EXACT_H_QS] for n in scales.tolist()])
+    h = [np.polyfit(np.log(scales), np.log(moments[:, j]) / q, 1)[0]
+         for j, q in enumerate(EXACT_H_QS)]
+    np.testing.assert_allclose(h, EXACT_H[estimator], rtol=0, atol=5e-5)
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_white_noise_forward_moments_are_backwards(n):
+    # a stationary Gaussian series is time-reversible, so forward needs no run of its own
+    backward, forward = (reference.white_noise_segment_weights_mfdma_1d(n, theta)
+                         for theta in (0.0, 1.0))
+    for q in EXACT_H_QS:
+        assert reference.white_noise_moment_1d(forward, q) == pytest.approx(
+            reference.white_noise_moment_1d(backward, q), rel=1e-12, abs=0)
 
 
 # the 2-d half: a surface of NOISE_SIDE^2 points per seed, the same seeds and bound

@@ -64,6 +64,11 @@ def test_build_q_grid_hits_zero_exactly():
     assert qs.spacing == pytest.approx(0.1)
 
 
+def test_a_one_point_q_grid_has_no_spacing():
+    with pytest.raises(ValidationError, match="^q grid spacing needs at least two points$"):
+        QGrid([1.0]).spacing
+
+
 @pytest.mark.parametrize(
     "q_min, q_max, q_step, match",
     [(-4.0, 4.0, float("nan"), "must be finite"), (-4.0, float("inf"), 0.1, "must be finite"),
